@@ -132,8 +132,9 @@ void BM_RewiringAttempts(benchmark::State& state) {
     state.ResumeTiming();
     RewireOptions options;
     options.rewiring_coefficient = 1.0;  // |E| attempts per iteration
-    benchmark::DoNotOptimize(
-        RewireToClustering(copy, 0, target, options, rng));
+    ParallelRewireOptions one_thread;    // default batch, inline scoring
+    benchmark::DoNotOptimize(RewireToClusteringParallel(
+        copy, 0, target, options, one_thread, rng.engine()()));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(g.NumEdges()));

@@ -1,5 +1,5 @@
-// Scaling bench of the batched speculative rewiring engine
-// (RewireToClusteringParallel): wall-clock of one full rewiring phase at
+// Scaling bench of the rewiring engine (RewireToClusteringParallel):
+// wall-clock of one full rewiring phase at
 // increasing worker counts, on the assembled graph the proposed method
 // hands to Algorithm 6.
 //
@@ -8,7 +8,7 @@
 // produce a byte-identical rewired graph (FNV-1a over the edge list) and
 // identical RewireStats, because the proposal stream is a pure function
 // of (seed, round) and commits happen in canonical batch order. The
-// sequential RewireToClustering runs first as the reference row.
+// 1-thread row is the reference for both speedup and identity.
 //
 // Usage: bench_parallel_rewire [--threads N] [--json PATH]
 //   --threads N   maximum worker count to sweep to (default: hardware
@@ -79,8 +79,7 @@ int main(int argc, char** argv) {
 
   const DatasetSpec spec = DatasetByName("brightkite");
   const Graph dataset = LoadDataset(spec);
-  std::cout << "=== Batched speculative rewiring: wall-clock vs threads "
-               "===\n";
+  std::cout << "=== Rewiring engine: wall-clock vs threads ===\n";
   PrintDatasetBanner(spec, dataset);
   std::cout << "RC = " << config.rc << ", batch = " << batch
             << ", max threads = " << max_threads << "\n\n";
@@ -112,22 +111,8 @@ int main(int argc, char** argv) {
 
   BenchJsonReport report("bench_parallel_rewire", config);
   TablePrinter table(std::cout,
-                     {"engine", "threads", "seconds", "speedup",
-                      "final D", "accepted", "reevaluated",
-                      "identical to 1-thread"});
-
-  // Reference row: the classic sequential attempt loop.
-  {
-    Graph g = assembled;
-    Rng seq_rng(0xBE58);
-    Timer timer;
-    const RewireStats stats = RewireToClustering(
-        g, num_protected, est.clustering, options, seq_rng);
-    const double seconds = timer.Seconds();
-    table.AddRow({"sequential", "1", TablePrinter::Fixed(seconds, 2), "-",
-                  TablePrinter::Fixed(stats.final_distance),
-                  std::to_string(stats.accepted), "-", "-"});
-  }
+                     {"threads", "seconds", "speedup", "final D",
+                      "accepted", "reevaluated", "identical to 1-thread"});
 
   std::vector<std::size_t> sweep;
   for (std::size_t t = 1; t < max_threads; t *= 2) sweep.push_back(t);
@@ -156,7 +141,7 @@ int main(int argc, char** argv) {
     } else {
       identical = hash == baseline_hash && SameStats(stats, baseline_stats);
     }
-    table.AddRow({"batched", std::to_string(threads),
+    table.AddRow({std::to_string(threads),
                   TablePrinter::Fixed(seconds, 2),
                   TablePrinter::Fixed(
                       baseline_seconds / std::max(1e-9, seconds), 2) + "x",

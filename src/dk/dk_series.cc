@@ -22,9 +22,10 @@ Graph GenerateDkGraph(const Graph& original, DkOrder order, Rng& rng,
                                  ExtractJointDegreeMatrix(original), rng);
       RewireOptions options;
       options.rewiring_coefficient = rewiring_coefficient;
-      RewireToClustering(g, /*num_protected_edges=*/0,
-                         ExtractDegreeDependentClustering(original),
-                         options, rng);
+      RewireToClusteringParallel(
+          g, /*num_protected_edges=*/0,
+          ExtractDegreeDependentClustering(original), options,
+          ParallelRewireOptions{}, rng.engine()());
       return g;
     }
   }

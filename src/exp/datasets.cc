@@ -1,6 +1,5 @@
 #include "exp/datasets.h"
 
-#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <stdexcept>
@@ -12,6 +11,7 @@
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "util/rng.h"
+#include "util/strict_number.h"
 
 namespace sgr {
 
@@ -26,12 +26,10 @@ double ResolveScale(double scale_override) {
   if (scale_override > 0.0) return scale_override;
   const char* env = std::getenv("SGR_DATASET_SCALE");
   if (env == nullptr || *env == '\0') return 1.0;
-  char* end = nullptr;
-  const double scale = std::strtod(env, &end);
-  if (end == env || *end != '\0' || !std::isfinite(scale) || scale <= 0.0) {
-    throw std::runtime_error(
-        "SGR_DATASET_SCALE='" + std::string(env) +
-        "' is not a finite positive number");
+  const double scale = ParseStrictDouble(env, "SGR_DATASET_SCALE");
+  if (scale <= 0.0) {
+    throw std::runtime_error("SGR_DATASET_SCALE='" + std::string(env) +
+                             "' is not positive");
   }
   return scale;
 }
@@ -81,7 +79,7 @@ IngestOptions IngestOptionsFromEnv() {
   }
   if (const char* threads = std::getenv("SGR_INGEST_THREADS")) {
     options.threads = static_cast<std::size_t>(
-        std::strtoull(threads, nullptr, 10));
+        ParseStrictUint(threads, "SGR_INGEST_THREADS"));
   }
   if (const char* compress = std::getenv("SGR_CSR_COMPRESS")) {
     const std::string value(compress);

@@ -50,16 +50,9 @@ RestorationResult RestoreGjoka(const SamplingList& list,
   rewire_options.stop_epsilon = options.stop_epsilon;
   obs::Span rewire_span("rewire");
   total.LapSeconds();  // open the rewiring lap
-  if (options.parallel_rewire.batch_size > 0) {
-    result.rewire_stats = RewireToClusteringParallel(
-        result.graph, /*num_protected_edges=*/0,
-        result.estimates.clustering, rewire_options,
-        options.parallel_rewire, rng.engine()());
-  } else {
-    result.rewire_stats = RewireToClustering(
-        result.graph, /*num_protected_edges=*/0,
-        result.estimates.clustering, rewire_options, rng);
-  }
+  result.rewire_stats = RewireToClusteringParallel(
+      result.graph, /*num_protected_edges=*/0, result.estimates.clustering,
+      rewire_options, options.parallel_rewire, rng.engine()());
   result.rewiring_seconds = total.LapSeconds();
   rewire_span.End();
 

@@ -18,11 +18,11 @@ struct RestorationOptions {
   /// Rewiring-phase options (RC = 500 reproduces the paper's setting).
   RewireOptions rewire;
 
-  /// Batched speculative rewiring engine. `parallel_rewire.batch_size`
-  /// selects the engine: 0 (the default) runs the classic sequential
-  /// attempt loop; nonzero runs RewireToClusteringParallel with that
-  /// round size on `parallel_rewire.threads` workers. The thread count
-  /// never changes results — see restore/rewirer.h.
+  /// Round schedule of the rewiring engine (RewireToClusteringParallel):
+  /// `parallel_rewire.batch_size` proposals per round (0 = the default
+  /// kDefaultRewireBatch; 1 = the paper's one-at-a-time schedule) scored
+  /// on `parallel_rewire.threads` workers. The thread count never
+  /// changes results — see restore/rewirer.h.
   ParallelRewireOptions parallel_rewire;
 
   /// Parallel Algorithm 5 assembly. `parallel_assembly.enabled` selects

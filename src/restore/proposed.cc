@@ -40,9 +40,9 @@ RestorationResult RestoreProposed(const SamplingList& list,
   extract_span.End();
 
   // Third phase: extend the subgraph to realize both targets. The
-  // parallel engine takes one engine draw as its seed (like the batched
-  // rewirer below), so the sequential path's RNG stream is untouched
-  // when it is off.
+  // parallel engine takes one engine draw as its seed (like the rewirer
+  // below), so the sequential path's RNG stream is untouched when it is
+  // off.
   obs::Span assemble_span("assemble");
   if (options.parallel_assembly.enabled) {
     result.graph = AssembleFromSubgraphParallel(
@@ -58,9 +58,7 @@ RestorationResult RestoreProposed(const SamplingList& list,
   // first |E'| edge ids (the subgraph edges copied first by Algorithm 5)
   // realizes E~rew = E~ \ E'; `protect_subgraph = false` widens the
   // candidate set to all of E~ (Gjoka et al.'s choice — the candidate-set
-  // ablation). A nonzero batch size selects the batched speculative
-  // engine; its seed is one engine draw, so the sequential path's RNG
-  // stream is untouched when the engine is off.
+  // ablation). The engine's seed is one engine draw.
   const std::size_t protected_edges =
       options.protect_subgraph ? sub.graph.NumEdges() : 0;
   RewireOptions rewire_options = options.rewire;
@@ -68,15 +66,9 @@ RestorationResult RestoreProposed(const SamplingList& list,
   rewire_options.stop_epsilon = options.stop_epsilon;
   obs::Span rewire_span("rewire");
   total.LapSeconds();  // open the rewiring lap
-  if (options.parallel_rewire.batch_size > 0) {
-    result.rewire_stats = RewireToClusteringParallel(
-        result.graph, protected_edges, result.estimates.clustering,
-        rewire_options, options.parallel_rewire, rng.engine()());
-  } else {
-    result.rewire_stats =
-        RewireToClustering(result.graph, protected_edges,
-                           result.estimates.clustering, rewire_options, rng);
-  }
+  result.rewire_stats = RewireToClusteringParallel(
+      result.graph, protected_edges, result.estimates.clustering,
+      rewire_options, options.parallel_rewire, rng.engine()());
   result.rewiring_seconds = total.LapSeconds();
   rewire_span.End();
 

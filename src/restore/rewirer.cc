@@ -12,15 +12,15 @@
 #include "exp/parallel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/rng.h"
 
 namespace sgr {
 
 namespace {
 
 /// One candidate 2-swap: replace edges e1 = (i, j) and e2 = (a, b) with
-/// (i, b) and (a, j). `valid` is false for the attempts the sequential
-/// loop `continue`s over (identical edge draw, no degree-matched
-/// orientation, no-op swap).
+/// (i, b) and (a, j). `valid` is false for attempts that cannot improve
+/// (identical edge draw, no degree-matched orientation, no-op swap).
 struct SwapProposal {
   EdgeId e1 = 0;
   EdgeId e2 = 0;
@@ -30,12 +30,10 @@ struct SwapProposal {
   std::vector<std::uint32_t> touched;   // degree classes the score read
 };
 
-/// Draws one attempt exactly the way the sequential loop always has:
-/// ordered pair of candidate edge ids, then a uniform pick among the
-/// degree-matched endpoint orientations. Consumes the same RNG draws in
-/// the same order for both the sequential and the batched path. Fills
-/// `p` in place (leaving p.touched alone, so the batched engine's
-/// proposal slots keep their vector capacity across rounds).
+/// Draws one attempt: an ordered pair of candidate edge ids, then a
+/// uniform pick among the degree-matched endpoint orientations. Fills `p`
+/// in place (leaving p.touched alone, so the proposal slots keep their
+/// vector capacity across rounds).
 void DrawProposal(const Graph& g, std::size_t num_protected_edges,
                   std::size_t num_candidates, Rng& rng, SwapProposal& p) {
   p.valid = false;
@@ -71,14 +69,6 @@ void DrawProposal(const Graph& g, std::size_t num_protected_edges,
   p.a = o.a;
   p.b = o.b;
   p.valid = true;
-}
-
-/// Number of rewiring attempts R = RC * |E~rew| shared by both engines.
-std::size_t TotalAttempts(const RewireOptions& options,
-                          std::size_t num_candidates) {
-  return static_cast<std::size_t>(
-      std::llround(options.rewiring_coefficient *
-                   static_cast<double>(num_candidates)));
 }
 
 /// Stream tag of the per-round proposal RNG (see DeriveRoundSeed).
@@ -128,9 +118,8 @@ void PadCurve(RewireStats& stats, std::size_t attempts_done,
 }
 
 /// Feeds the metrics registry once per rewiring run — never per attempt.
-/// The round counters are zero on the sequential path, so only the
-/// batched engine reports them; tracker.delta_ops counts the incremental
-/// tracker updates a tracked run performed (one per accepted swap).
+/// tracker.delta_ops counts the incremental tracker updates a tracked run
+/// performed (one per accepted swap).
 void RecordRewireMetrics(const RewireStats& stats) {
   if (!obs::MetricsEnabled()) return;
   obs::MetricAdd("rewire.attempts", stats.attempts);
@@ -146,88 +135,6 @@ void RecordRewireMetrics(const RewireStats& stats) {
 
 }  // namespace
 
-RewireStats RewireToClustering(Graph& g, std::size_t num_protected_edges,
-                               const std::vector<double>& target_clustering,
-                               const RewireOptions& options, Rng& rng) {
-  RewireStats stats;
-  // Guard the underflow of |E~| - |E'| when callers protect more edges
-  // than exist: nothing is rewirable, so the phase is a no-op.
-  if (num_protected_edges >= g.NumEdges()) return stats;
-  const std::size_t num_candidates = g.NumEdges() - num_protected_edges;
-  if (num_candidates < 2) return stats;
-
-  TriangleTracker tracker(g, target_clustering);
-  double current = tracker.Objective();
-  stats.initial_distance = current;
-  stats.final_distance = current;
-
-  const std::size_t total_attempts = TotalAttempts(options, num_candidates);
-  stats.attempts = total_attempts;
-
-  // Property tracking observes committed swaps only; with tracking off
-  // this engine's control flow and RNG stream are untouched.
-  const bool tracking = options.track_properties;
-  std::unique_ptr<PropertyTracker> props;
-  if (tracking) props = std::make_unique<PropertyTracker>(g);
-  std::size_t next_sample = 0;
-  std::size_t attempts_done = 0;
-
-  const bool stop_at_start = tracking && options.stop_epsilon > 0.0 &&
-                             current <= options.stop_epsilon;
-  if (stop_at_start) {
-    stats.stopped_early = true;
-    stats.attempts = 0;
-  }
-  for (std::size_t attempt = 0;
-       !stop_at_start && attempt < total_attempts; ++attempt) {
-    // resync_interval == 0 means "never resync" (a modulo by zero here
-    // used to be undefined behavior).
-    if (options.resync_interval != 0 &&
-        (attempt + 1) % options.resync_interval == 0) {
-      tracker.RecomputeObjective();
-      current = tracker.Objective();
-    }
-    SwapProposal p;
-    DrawProposal(g, num_protected_edges, num_candidates, rng, p);
-    if (p.valid) {
-      // Trial: apply on the tracker, accept iff the distance strictly
-      // drops.
-      tracker.RemoveEdge(p.i, p.j);
-      tracker.RemoveEdge(p.a, p.b);
-      tracker.AddEdge(p.i, p.b);
-      tracker.AddEdge(p.a, p.j);
-      const double proposed = tracker.Objective();
-      if (proposed < current) {
-        g.ReplaceEdge(p.e1, p.i, p.b);
-        g.ReplaceEdge(p.e2, p.a, p.j);
-        current = proposed;
-        ++stats.accepted;
-        if (tracking) props->ApplySwap(p.i, p.j, p.a, p.b);
-      } else {
-        tracker.RemoveEdge(p.i, p.b);
-        tracker.RemoveEdge(p.a, p.j);
-        tracker.AddEdge(p.i, p.j);
-        tracker.AddEdge(p.a, p.b);
-      }
-    }
-    attempts_done = attempt + 1;
-    if (tracking) {
-      RecordDueSamples(stats, total_attempts, attempts_done, current,
-                       *props, next_sample);
-      if (options.stop_epsilon > 0.0 && current <= options.stop_epsilon) {
-        stats.stopped_early = true;
-        stats.attempts = attempts_done;
-        break;
-      }
-    }
-  }
-  if (tracking) PadCurve(stats, attempts_done, current, *props);
-  tracker.RecomputeObjective();
-  stats.final_distance = tracker.Objective();
-  RecordRewireMetrics(stats);
-  return stats;
-}
-
 RewireStats RewireToClusteringParallel(
     Graph& g, std::size_t num_protected_edges,
     const std::vector<double>& target_clustering,
@@ -242,7 +149,9 @@ RewireStats RewireToClusteringParallel(
   stats.initial_distance = tracker.Objective();
   stats.final_distance = stats.initial_distance;
 
-  const std::size_t total_attempts = TotalAttempts(options, num_candidates);
+  // R = RC * |E~rew|.
+  const std::size_t total_attempts = static_cast<std::size_t>(std::llround(
+      options.rewiring_coefficient * static_cast<double>(num_candidates)));
   stats.attempts = total_attempts;
   if (total_attempts == 0) return stats;
 
@@ -272,11 +181,10 @@ RewireStats RewireToClusteringParallel(
   std::vector<EdgeId> committed_edges;
   std::vector<std::uint32_t> commit_classes;
 
-  // Note: the sequential loop's resync_interval drift control has no
-  // analogue here. Acceptance never reads the incrementally maintained
-  // objective — every score derives fresh from the exact integer T(k)
-  // state — and the reported final distance is recomputed from scratch
-  // below, so a mid-run RecomputeObjective could not change any output.
+  // Acceptance never reads the incrementally maintained objective —
+  // every score derives fresh from the exact integer T(k) state — and the
+  // reported final distance is recomputed from scratch below, so the run
+  // needs no mid-run drift control.
   std::size_t attempts_done = 0;
   std::uint64_t round = 0;
   bool stopped = tracking && options.stop_epsilon > 0.0 &&

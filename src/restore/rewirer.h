@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "util/rng.h"
 
 namespace sgr {
 
@@ -15,12 +14,6 @@ struct RewireOptions {
   /// Coefficient RC of the number of rewiring attempts: R = RC * |E~rew|.
   /// The paper uses RC = 500 (following Orsini et al.).
   double rewiring_coefficient = 500.0;
-
-  /// Attempts between full objective recomputations (floating-point drift
-  /// control for the incrementally maintained L1 distance). 0 means
-  /// "never resync" (the final distance is always recomputed from
-  /// scratch regardless).
-  std::size_t resync_interval = 1 << 20;
 
   /// When true, the engine maintains a PropertyTracker over the committed
   /// swaps (never over speculative proposals) and fills
@@ -39,7 +32,7 @@ struct RewireOptions {
   double stop_epsilon = 0.0;
 };
 
-/// Options of the batched speculative rewiring engine
+/// Options of the rewiring engine's round schedule
 /// (RewireToClusteringParallel).
 ///
 /// `threads` is an execution knob only: for a fixed `batch_size` the
@@ -52,7 +45,8 @@ struct RewireOptions {
 /// selects a different (equally valid) optimization trajectory.
 struct ParallelRewireOptions {
   /// Proposals drawn and speculatively scored per round. 0 lets the
-  /// engine pick its default (kDefaultRewireBatch).
+  /// engine pick its default (kDefaultRewireBatch); 1 is the paper's
+  /// one-proposal-at-a-time schedule.
   std::size_t batch_size = 0;
 
   /// Worker threads for the speculative scoring phase (0 = hardware
@@ -60,7 +54,7 @@ struct ParallelRewireOptions {
   std::size_t threads = 1;
 };
 
-/// Default proposals-per-round of the batched engine when
+/// Default proposals-per-round of the rewiring engine when
 /// ParallelRewireOptions::batch_size is 0. Large enough to amortize the
 /// per-round fan-out, small enough that intra-round conflicts stay rare.
 inline constexpr std::size_t kDefaultRewireBatch = 256;
@@ -88,7 +82,7 @@ struct RewireStats {
   double initial_distance = 0.0;     ///< normalized L1 before rewiring
   double final_distance = 0.0;       ///< normalized L1 after rewiring
 
-  // Batched-engine round accounting (all zero on the sequential path).
+  // Round accounting.
   std::size_t rounds = 0;        ///< proposal batches drawn
   std::size_t evaluated = 0;     ///< well-formed proposals scored speculatively
   std::size_t conflicts = 0;     ///< proposals dropped: edge re-rewired earlier in the round
@@ -103,7 +97,8 @@ struct RewireStats {
 };
 
 /// Rewires edges of `g` so that its degree-dependent clustering coefficient
-/// approaches `target_clustering` (Algorithm 6).
+/// approaches `target_clustering` (Algorithm 6). This is the one rewiring
+/// engine: every restoration method and the dK-2.5 generator run it.
 ///
 /// Edge ids below `num_protected_edges` form E' and are never rewired: the
 /// proposed method protects the sampled subgraph (E~rew = E~ \ E'), which is
@@ -112,21 +107,16 @@ struct RewireStats {
 /// `num_protected_edges > g.NumEdges()` leaves nothing to rewire and
 /// returns empty stats (as does any candidate set smaller than 2).
 ///
-/// Each attempt draws an ordered pair of distinct candidate edges, picks a
-/// uniformly random endpoint orientation ((i,j),(a,b)) with deg(i) = deg(a)
-/// (attempt fails if none exists), and replaces the pair with
-/// ((i,b),(a,j)) iff the normalized L1 distance between the present and
-/// target degree-dependent clustering strictly decreases. Degree-matched
-/// swaps preserve the degree vector and joint degree matrix exactly.
-RewireStats RewireToClustering(Graph& g, std::size_t num_protected_edges,
-                               const std::vector<double>& target_clustering,
-                               const RewireOptions& options, Rng& rng);
-
-/// Batched speculative variant of RewireToClustering: the same swap
-/// family, candidate protection, and strict-improvement acceptance, run
-/// as rounds of `parallel.batch_size` proposals.
+/// Each of the R = RC * |E~rew| attempts draws an ordered pair of distinct
+/// candidate edges, picks a uniformly random endpoint orientation
+/// ((i,j),(a,b)) with deg(i) = deg(a) (the attempt fails if none exists),
+/// and replaces the pair with ((i,b),(a,j)) iff the normalized L1 distance
+/// between the present and target degree-dependent clustering strictly
+/// decreases. Degree-matched swaps preserve the degree vector and joint
+/// degree matrix exactly.
 ///
-/// Every round:
+/// The attempts run as rounds of `parallel.batch_size` proposals. Every
+/// round:
 ///   1. draws its proposal batch from a deterministic per-round RNG
 ///      stream (DeriveRoundSeed(seed, ..., round) — independent of the
 ///      worker count),
@@ -141,18 +131,16 @@ RewireStats RewireToClustering(Graph& g, std::size_t num_protected_edges,
 ///      first; proposals whose edge ids were already rewired this round
 ///      are dropped.
 ///
+/// Batch size 1 is the paper's own schedule: every proposal is scored
+/// against the state its predecessor left. Larger batches amortize the
+/// per-round cost and select a different, equally valid trajectory.
+///
 /// The commit step is the only writer, so the rewired graph and every
 /// RewireStats field are byte-identical for every `parallel.threads`
 /// value — the intra-trial extension of the trial-level determinism
-/// contract RunExperiments locks. Note the trajectory differs from the
-/// sequential RewireToClustering for the same seed (proposals are scored
-/// against round-start state, not the post-previous-attempt state): both
-/// are valid runs of Algorithm 6, each individually deterministic.
-///
-/// `options.resync_interval` is ignored: acceptance always scores fresh
-/// from the exact integer triangle state and the final distance is
-/// recomputed from scratch, so this engine has no floating-point drift
-/// to control.
+/// contract RunExperiments locks. Acceptance scores every proposal from
+/// exact integer triangle counts, and the final distance is recomputed
+/// from scratch, so no floating-point drift reaches a decision.
 ///
 /// `seed` drives all randomness; callers holding an Rng should pass one
 /// engine draw (rng.engine()()).

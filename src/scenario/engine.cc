@@ -232,10 +232,8 @@ ScenarioRunResult RunScenario(const ScenarioSpec& spec,
                   << CrawlerToken(knobs.crawler) << "/"
                   << JointModeToken(knobs.estimator.joint_mode)
                   << "/rc " << knobs.rc
-                  << (knobs.protect_subgraph ? "" : "/unprotected");
-        if (knobs.rewire_batch != 0) {
-          *progress << "/batch " << knobs.rewire_batch;
-        }
+                  << (knobs.protect_subgraph ? "" : "/unprotected")
+                  << "/batch " << knobs.rewire_batch;
         if (knobs.crawler == CrawlerKind::kFrontier) {
           *progress << "/walkers " << knobs.frontier_walkers;
         }

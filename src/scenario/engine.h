@@ -55,8 +55,7 @@ ScenarioCell RunScenarioCell(const std::string& dataset_name,
 struct ScenarioRunResult {
   ScenarioSpec spec;
   std::size_t threads = 1;
-  /// Resolved rewire-engine worker count the trials ran with (only
-  /// meaningful when the rewire_batch axis has a nonzero value).
+  /// Resolved rewire-engine worker count the trials ran with.
   /// Volatile: recorded in the report's environment block, never in its
   /// deterministic content.
   std::size_t rewire_threads = 1;

@@ -79,9 +79,9 @@ struct CellKnobs {
   EstimatorSpec estimator;
   double rc = 500.0;
   bool protect_subgraph = true;
-  /// Batched speculative rewiring: 0 = the classic sequential attempt
-  /// loop, nonzero = proposals per round of RewireToClusteringParallel.
-  std::size_t rewire_batch = 0;
+  /// Proposals per round of the rewiring engine
+  /// (RewireToClusteringParallel); 1 is the paper's schedule.
+  std::size_t rewire_batch = kDefaultRewireBatch;
   /// Walker count of the frontier crawler (ignored by the others, but
   /// echoed regardless so cells pair canonically).
   std::size_t frontier_walkers = 10;
@@ -137,14 +137,14 @@ struct ScenarioSpec {
   /// every other crawler ignores the knob, so its cells would be
   /// duplicated once per walker value.
   std::vector<std::size_t> frontier_walkers = {10};
-  /// Batched-speculative-rewiring axis (restore/rewirer.h; JSON key
-  /// "rewire_batch": one number or an array): 0 = the classic sequential
-  /// attempt loop, nonzero = proposals per round of
-  /// RewireToClusteringParallel. An algorithm knob — changing it changes
-  /// the (equally valid) rewiring trajectory, so it is a sweepable axis
-  /// and every cell echoes its value.
-  std::vector<std::size_t> rewire_batches = {0};
-  /// Worker threads of the batched rewiring engine inside each trial
+  /// Rewiring round-size axis (restore/rewirer.h; JSON key
+  /// "rewire_batch": one number or an array of values >= 1): proposals
+  /// per round of RewireToClusteringParallel, 1 being the paper's
+  /// one-at-a-time schedule. An algorithm knob — changing it changes the
+  /// (equally valid) rewiring trajectory, so it is a sweepable axis and
+  /// every cell echoes its value.
+  std::vector<std::size_t> rewire_batches = {kDefaultRewireBatch};
+  /// Worker threads of the rewiring engine inside each trial
   /// (0 = hardware concurrency). Execution knob only: reports are
   /// byte-identical for every value (and the CLI can override it per run
   /// without touching the spec).
@@ -258,8 +258,8 @@ std::string JointModeToken(JointEstimatorMode mode);
 ///   ablation-rc      rewiring-budget sweep RC in {0..500} (Section IV-E)
 ///   ablation-jdm     hybrid vs IE-only vs TE-only estimator (Sec. III-E)
 ///   ablation-rewire  protected vs all-edges rewiring set (Section IV-E)
-///   ablation-batch   sequential loop vs speculative rounds (rewire_batch
-///                    sweep) through the parallel assembly engine
+///   ablation-batch   rewiring round-size sweep, the paper's batch 1 vs
+///                    speculative rounds, through the parallel assembly
 ///   ablation-frontier  frontier walker-count sweep (frontier_walkers)
 ///   ablation-noise   adversarial-oracle sweep: cooperative vs private
 ///                    accounts vs hidden edges vs churn (noise axis)

@@ -94,8 +94,9 @@ TEST_P(RestorationInvariantsTest, FullInvariantSuite) {
   // Phase 4 invariants: rewiring preserves DV, JDM, and E'.
   RewireOptions options;
   options.rewiring_coefficient = 10.0;
-  RewireToClustering(built, sub.graph.NumEdges(), est.clustering, options,
-                     rng);
+  RewireToClusteringParallel(built, sub.graph.NumEdges(), est.clustering,
+                             options, ParallelRewireOptions{},
+                             rng.engine()());
   ASSERT_EQ(ExtractDegreeVector(built), dv.n_star);
   ASSERT_TRUE(ExtractJointDegreeMatrix(built).SatisfiesJdm3(dv.n_star));
   for (EdgeId e = 0; e < sub.graph.NumEdges(); ++e) {

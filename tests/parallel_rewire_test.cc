@@ -13,9 +13,9 @@
 namespace sgr {
 namespace {
 
-/// The invariants every rewiring run must keep (shared by the sequential
-/// and the batched engine): degree sequence untouched, protected edge
-/// ids untouched, monotone objective, accepted <= attempts.
+/// The invariants every rewiring run must keep: degree sequence
+/// untouched, protected edge ids untouched, monotone objective,
+/// accepted <= attempts.
 void ExpectRewireInvariants(const Graph& before, const Graph& after,
                             std::size_t num_protected,
                             const RewireStats& stats) {
@@ -51,7 +51,7 @@ Graph BuildCase(const MatrixCase& c) {
   return GenerateCommunityGraph(240, 4, 3, 0.4, 6, rng);
 }
 
-TEST(ParallelRewireTest, PropertyMatrixKeepsInvariantsBothEngines) {
+TEST(ParallelRewireTest, PropertyMatrixKeepsInvariants) {
   const std::array<MatrixCase, 6> matrix = {
       MatrixCase{"powerlaw", 101, 0.0}, MatrixCase{"powerlaw", 102, 0.5},
       MatrixCase{"er", 103, 0.0},       MatrixCase{"er", 104, 0.3},
@@ -65,35 +65,18 @@ TEST(ParallelRewireTest, PropertyMatrixKeepsInvariantsBothEngines) {
     RewireOptions options;
     options.rewiring_coefficient = 15.0;
 
-    {
-      Graph g = before;
-      Rng rng(c.seed + 1000);
-      const RewireStats stats =
-          RewireToClustering(g, num_protected, target, options, rng);
-      ExpectRewireInvariants(before, g, num_protected, stats);
-      // The degree-matched 2-swap family preserves the JDM exactly.
-      const JointDegreeMatrix jdm_before =
-          ExtractJointDegreeMatrix(before);
-      const JointDegreeMatrix jdm_after = ExtractJointDegreeMatrix(g);
-      EXPECT_EQ(jdm_before.counts(), jdm_after.counts())
-          << c.model << " seed " << c.seed << " (sequential)";
-    }
-    {
-      Graph g = before;
-      ParallelRewireOptions parallel;
-      parallel.batch_size = 64;
-      const RewireStats stats = RewireToClusteringParallel(
-          g, num_protected, target, options, parallel, c.seed + 2000);
-      ExpectRewireInvariants(before, g, num_protected, stats);
-      const JointDegreeMatrix jdm_before =
-          ExtractJointDegreeMatrix(before);
-      const JointDegreeMatrix jdm_after = ExtractJointDegreeMatrix(g);
-      EXPECT_EQ(jdm_before.counts(), jdm_after.counts())
-          << c.model << " seed " << c.seed << " (batched)";
-      EXPECT_EQ(stats.rounds,
-                (stats.attempts + 63) / 64);  // ceil(R / batch)
-      EXPECT_LE(stats.evaluated, stats.attempts);
-    }
+    Graph g = before;
+    ParallelRewireOptions parallel;
+    parallel.batch_size = 64;
+    const RewireStats stats = RewireToClusteringParallel(
+        g, num_protected, target, options, parallel, c.seed + 2000);
+    ExpectRewireInvariants(before, g, num_protected, stats);
+    // The degree-matched 2-swap family preserves the JDM exactly.
+    EXPECT_EQ(ExtractJointDegreeMatrix(before).counts(),
+              ExtractJointDegreeMatrix(g).counts())
+        << c.model << " seed " << c.seed;
+    EXPECT_EQ(stats.rounds, (stats.attempts + 63) / 64);  // ceil(R / batch)
+    EXPECT_LE(stats.evaluated, stats.attempts);
   }
 }
 
@@ -144,8 +127,8 @@ TEST(ParallelRewireTest, ByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelRewireTest, MovesClusteringTowardTarget) {
-  // Mirror of the sequential engine's quality test: scramble first, then
-  // rewire back toward the original clustering profile.
+  // Scramble first, then rewire back toward the original clustering
+  // profile.
   Rng gen_rng(8);
   Graph g = GeneratePowerlawCluster(400, 3, 0.6, gen_rng);
   const std::vector<double> target = ExtractDegreeDependentClustering(g);
@@ -153,16 +136,15 @@ TEST(ParallelRewireTest, MovesClusteringTowardTarget) {
   RewireOptions scramble;
   scramble.rewiring_coefficient = 30.0;
   std::vector<double> low(g.MaxDegree() + 1, 0.005);
-  Rng rng(9);
-  RewireToClustering(g, 0, low, scramble, rng);
+  ParallelRewireOptions parallel;
+  parallel.batch_size = 256;
+  parallel.threads = 2;
+  RewireToClusteringParallel(g, 0, low, scramble, parallel, /*seed=*/9);
   const double gap_before =
       NormalizedL1(target, ExtractDegreeDependentClustering(g));
 
   RewireOptions options;
   options.rewiring_coefficient = 100.0;
-  ParallelRewireOptions parallel;
-  parallel.batch_size = 256;
-  parallel.threads = 2;
   const RewireStats stats = RewireToClusteringParallel(
       g, 0, target, options, parallel, /*seed=*/0xC0FFEE);
   const double gap_after =
@@ -238,39 +220,6 @@ TEST(ParallelRewireTest, ZeroBatchFallsBackToDefault) {
                               kDefaultRewireBatch);
 }
 
-// ---------------------------------------------------------------------------
-// Regression tests for the satellite fixes (both engines).
-// ---------------------------------------------------------------------------
-
-TEST(ParallelRewireTest, ResyncIntervalZeroMeansNeverResync) {
-  // A modulo by zero here used to be undefined behavior in the
-  // sequential loop.
-  Rng gen_rng(40);
-  Graph g = GeneratePowerlawCluster(100, 3, 0.4, gen_rng);
-  std::vector<double> target(g.MaxDegree() + 1, 0.2);
-  RewireOptions options;
-  options.rewiring_coefficient = 5.0;
-  options.resync_interval = 0;
-  {
-    Graph copy = g;
-    Rng rng(41);
-    const RewireStats stats =
-        RewireToClustering(copy, 0, target, options, rng);
-    EXPECT_EQ(stats.attempts, static_cast<std::size_t>(
-                                  5.0 * static_cast<double>(g.NumEdges())));
-    EXPECT_LE(stats.final_distance, stats.initial_distance + 1e-9);
-  }
-  {
-    Graph copy = g;
-    ParallelRewireOptions parallel;
-    parallel.batch_size = 32;
-    const RewireStats stats = RewireToClusteringParallel(
-        copy, 0, target, options, parallel, /*seed=*/42);
-    EXPECT_GT(stats.rounds, 0u);
-    EXPECT_LE(stats.final_distance, stats.initial_distance + 1e-9);
-  }
-}
-
 TEST(ParallelRewireTest, ProtectingMoreEdgesThanExistIsANoOp) {
   // num_protected_edges > |E~| used to underflow the candidate count and
   // request ~2^64 attempts.
@@ -279,29 +228,18 @@ TEST(ParallelRewireTest, ProtectingMoreEdgesThanExistIsANoOp) {
   const Graph before = g;
   std::vector<double> target(g.MaxDegree() + 1, 0.5);
   RewireOptions options;
+  ParallelRewireOptions parallel;
+  parallel.batch_size = 16;
   for (const std::size_t num_protected :
        {g.NumEdges(), g.NumEdges() + 1, g.NumEdges() + 1000}) {
-    {
-      Graph copy = g;
-      Rng rng(51);
-      const RewireStats stats = RewireToClustering(
-          copy, num_protected, target, options, rng);
-      EXPECT_EQ(stats.attempts, 0u);
-      EXPECT_EQ(stats.accepted, 0u);
-      EXPECT_EQ(stats.initial_distance, 0.0);
-    }
-    {
-      Graph copy = g;
-      ParallelRewireOptions parallel;
-      parallel.batch_size = 16;
-      const RewireStats stats = RewireToClusteringParallel(
-          copy, num_protected, target, options, parallel, /*seed=*/52);
-      EXPECT_EQ(stats.attempts, 0u);
-      EXPECT_EQ(stats.accepted, 0u);
-      EXPECT_EQ(stats.rounds, 0u);
-    }
+    const RewireStats stats = RewireToClusteringParallel(
+        g, num_protected, target, options, parallel, /*seed=*/52);
+    EXPECT_EQ(stats.attempts, 0u);
+    EXPECT_EQ(stats.accepted, 0u);
+    EXPECT_EQ(stats.rounds, 0u);
+    EXPECT_EQ(stats.initial_distance, 0.0);
   }
-  // The graph is untouched either way.
+  // The graph is untouched.
   for (EdgeId e = 0; e < before.NumEdges(); ++e) {
     EXPECT_EQ(g.edge(e).u, before.edge(e).u);
     EXPECT_EQ(g.edge(e).v, before.edge(e).v);

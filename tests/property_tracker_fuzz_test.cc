@@ -224,53 +224,6 @@ TEST(PropertyTrackerFuzzTest,
   }
 }
 
-TEST(PropertyTrackerFuzzTest, TrackingIsPureObservationSequential) {
-  Rng gen_rng(12);
-  const Graph before = GeneratePowerlawCluster(200, 3, 0.5, gen_rng);
-  std::vector<double> target(before.MaxDegree() + 1, 0.2);
-  RewireOptions plain;
-  plain.rewiring_coefficient = 20.0;
-  RewireOptions tracked = plain;
-  tracked.track_properties = true;
-
-  Graph g_plain = before;
-  Rng rng_plain(0xABC);
-  const RewireStats stats_plain =
-      RewireToClustering(g_plain, 0, target, plain, rng_plain);
-
-  Graph g_tracked = before;
-  Rng rng_tracked(0xABC);
-  const RewireStats stats_tracked =
-      RewireToClustering(g_tracked, 0, target, tracked, rng_tracked);
-
-  // Identical proposal stream, decisions, and output: tracking is pure
-  // observation.
-  ASSERT_EQ(g_plain.NumEdges(), g_tracked.NumEdges());
-  for (EdgeId e = 0; e < g_plain.NumEdges(); ++e) {
-    ASSERT_EQ(g_plain.edge(e).u, g_tracked.edge(e).u) << "edge " << e;
-    ASSERT_EQ(g_plain.edge(e).v, g_tracked.edge(e).v) << "edge " << e;
-  }
-  EXPECT_EQ(stats_plain.attempts, stats_tracked.attempts);
-  EXPECT_EQ(stats_plain.accepted, stats_tracked.accepted);
-  EXPECT_EQ(stats_plain.initial_distance, stats_tracked.initial_distance);
-  EXPECT_EQ(stats_plain.final_distance, stats_tracked.final_distance);
-  // Only the curve differs: absent untracked, 16 samples tracked.
-  EXPECT_TRUE(stats_plain.curve.empty());
-  EXPECT_FALSE(stats_plain.stopped_early);
-  ASSERT_EQ(kConvergenceSamples, stats_tracked.curve.size());
-  EXPECT_FALSE(stats_tracked.stopped_early);
-  EXPECT_EQ(stats_tracked.attempts, stats_tracked.curve.back().attempts);
-  // The curve's objective is non-increasing (only improving swaps
-  // commit) and ends at the final distance, modulo incremental FP drift.
-  for (std::size_t s = 1; s < stats_tracked.curve.size(); ++s) {
-    EXPECT_LE(stats_tracked.curve[s].objective,
-              stats_tracked.curve[s - 1].objective + 1e-9)
-        << "sample " << s;
-  }
-  EXPECT_NEAR(stats_tracked.curve.back().objective,
-              stats_tracked.final_distance, 1e-6);
-}
-
 TEST(PropertyTrackerFuzzTest, TrackingIsPureObservationBatched) {
   Rng gen_rng(13);
   const Graph before = GeneratePowerlawCluster(200, 3, 0.5, gen_rng);
@@ -304,58 +257,21 @@ TEST(PropertyTrackerFuzzTest, TrackingIsPureObservationBatched) {
   EXPECT_EQ(stats_plain.initial_distance, stats_tracked.initial_distance);
   EXPECT_EQ(stats_plain.final_distance, stats_tracked.final_distance);
   EXPECT_TRUE(stats_plain.curve.empty());
+  EXPECT_FALSE(stats_plain.stopped_early);
   ASSERT_EQ(kConvergenceSamples, stats_tracked.curve.size());
-  // The batched engine scores against exact integer triangle state, so
-  // the curve's last objective equals the recomputed final distance to
-  // full precision.
+  EXPECT_FALSE(stats_tracked.stopped_early);
+  EXPECT_EQ(stats_tracked.attempts, stats_tracked.curve.back().attempts);
+  // The curve's objective is non-increasing (only improving swaps
+  // commit). The engine scores against exact integer triangle state, so
+  // its last objective equals the recomputed final distance to full
+  // precision.
+  for (std::size_t s = 1; s < stats_tracked.curve.size(); ++s) {
+    EXPECT_LE(stats_tracked.curve[s].objective,
+              stats_tracked.curve[s - 1].objective + 1e-9)
+        << "sample " << s;
+  }
   EXPECT_NEAR(stats_tracked.curve.back().objective,
               stats_tracked.final_distance, 1e-9);
-}
-
-TEST(PropertyTrackerFuzzTest, AdaptiveStopHaltsSequential) {
-  Rng gen_rng(14);
-  const Graph before = GeneratePowerlawCluster(250, 3, 0.6, gen_rng);
-  std::vector<double> target(before.MaxDegree() + 1, 0.05);
-  RewireOptions reference;
-  reference.rewiring_coefficient = 30.0;
-  reference.track_properties = true;
-
-  Graph g_ref = before;
-  Rng rng_ref(0x5709);
-  const RewireStats ref =
-      RewireToClustering(g_ref, 0, target, reference, rng_ref);
-  ASSERT_GT(ref.initial_distance, ref.final_distance);
-  ASSERT_FALSE(ref.stopped_early);
-
-  // An epsilon strictly between the final and initial distance must be
-  // crossed mid-run: the stop fires with attempts genuinely saved.
-  RewireOptions stopping = reference;
-  stopping.stop_epsilon =
-      0.5 * (ref.initial_distance + ref.final_distance);
-  Graph g_stop = before;
-  Rng rng_stop(0x5709);
-  const RewireStats stopped =
-      RewireToClustering(g_stop, 0, target, stopping, rng_stop);
-  EXPECT_TRUE(stopped.stopped_early);
-  EXPECT_GT(stopped.attempts, 0u);
-  EXPECT_LT(stopped.attempts, ref.attempts);
-  ASSERT_EQ(kConvergenceSamples, stopped.curve.size());
-  EXPECT_LE(stopped.final_distance, stopping.stop_epsilon + 1e-6);
-
-  // Epsilon already satisfied at the start: zero attempts.
-  RewireOptions trivial = reference;
-  trivial.stop_epsilon = 1e6;
-  Graph g_trivial = before;
-  Rng rng_trivial(0x5709);
-  const RewireStats none =
-      RewireToClustering(g_trivial, 0, target, trivial, rng_trivial);
-  EXPECT_TRUE(none.stopped_early);
-  EXPECT_EQ(0u, none.attempts);
-  EXPECT_EQ(0u, none.accepted);
-  for (EdgeId e = 0; e < before.NumEdges(); ++e) {
-    ASSERT_EQ(before.edge(e).u, g_trivial.edge(e).u) << "edge " << e;
-    ASSERT_EQ(before.edge(e).v, g_trivial.edge(e).v) << "edge " << e;
-  }
 }
 
 TEST(PropertyTrackerFuzzTest, AdaptiveStopHaltsBatched) {
@@ -404,6 +320,20 @@ TEST(PropertyTrackerFuzzTest, AdaptiveStopHaltsBatched) {
         << "edge " << e;
     ASSERT_EQ(stopped_graphs[0].edge(e).v, stopped_graphs[1].edge(e).v)
         << "edge " << e;
+  }
+
+  // Epsilon already satisfied at the start: zero attempts.
+  RewireOptions trivial = reference;
+  trivial.stop_epsilon = 1e6;
+  Graph g_trivial = before;
+  const RewireStats none = RewireToClusteringParallel(
+      g_trivial, 0, target, trivial, parallel, /*seed=*/0x57A7);
+  EXPECT_TRUE(none.stopped_early);
+  EXPECT_EQ(0u, none.attempts);
+  EXPECT_EQ(0u, none.accepted);
+  for (EdgeId e = 0; e < before.NumEdges(); ++e) {
+    ASSERT_EQ(before.edge(e).u, g_trivial.edge(e).u) << "edge " << e;
+    ASSERT_EQ(before.edge(e).v, g_trivial.edge(e).v) << "edge " << e;
   }
 }
 

@@ -10,12 +10,24 @@
 namespace sgr {
 namespace {
 
+/// Algorithm 6 at the paper's own schedule: one proposal per round, each
+/// scored against the state its predecessor left. The batched engine's
+/// larger rounds are covered by parallel_rewire_test.cc.
+RewireStats RewirePaperSchedule(Graph& g, std::size_t num_protected_edges,
+                                const std::vector<double>& target,
+                                const RewireOptions& options,
+                                std::uint64_t seed) {
+  ParallelRewireOptions parallel;
+  parallel.batch_size = 1;
+  return RewireToClusteringParallel(g, num_protected_edges, target, options,
+                                    parallel, seed);
+}
+
 TEST(RewirerTest, NoCandidatesIsNoOp) {
   Graph g = GenerateCycle(5);
-  Rng rng(1);
   RewireOptions options;
-  const RewireStats stats =
-      RewireToClustering(g, g.NumEdges(), {0.0, 0.0, 1.0}, options, rng);
+  const RewireStats stats = RewirePaperSchedule(
+      g, g.NumEdges(), {0.0, 0.0, 1.0}, options, /*seed=*/1);
   EXPECT_EQ(stats.attempts, 0u);
   EXPECT_EQ(stats.accepted, 0u);
 }
@@ -27,10 +39,9 @@ TEST(RewirerTest, PreservesDegreeVectorAndJdm) {
   const JointDegreeMatrix jdm_before = ExtractJointDegreeMatrix(g);
 
   std::vector<double> target(g.MaxDegree() + 1, 0.3);
-  Rng rng(3);
   RewireOptions options;
   options.rewiring_coefficient = 20.0;
-  RewireToClustering(g, 0, target, options, rng);
+  RewirePaperSchedule(g, 0, target, options, /*seed=*/3);
 
   EXPECT_EQ(ExtractDegreeVector(g), dv_before);
   const JointDegreeMatrix jdm_after = ExtractJointDegreeMatrix(g);
@@ -49,10 +60,9 @@ TEST(RewirerTest, ProtectedEdgesAreNeverTouched) {
                            g.edges().begin() + protected_count);
 
   std::vector<double> target(g.MaxDegree() + 1, 0.0);  // push down
-  Rng rng(5);
   RewireOptions options;
   options.rewiring_coefficient = 30.0;
-  RewireToClustering(g, protected_count, target, options, rng);
+  RewirePaperSchedule(g, protected_count, target, options, /*seed=*/5);
 
   for (std::size_t e = 0; e < protected_count; ++e) {
     EXPECT_EQ(g.edge(e).u, frozen[e].u);
@@ -65,10 +75,10 @@ TEST(RewirerTest, ObjectiveNeverIncreases) {
   Graph g = GeneratePowerlawCluster(300, 3, 0.2, gen_rng);
   // Target far from present: high clustering everywhere.
   std::vector<double> target(g.MaxDegree() + 1, 0.5);
-  Rng rng(7);
   RewireOptions options;
   options.rewiring_coefficient = 50.0;
-  const RewireStats stats = RewireToClustering(g, 0, target, options, rng);
+  const RewireStats stats =
+      RewirePaperSchedule(g, 0, target, options, /*seed=*/7);
   EXPECT_LE(stats.final_distance, stats.initial_distance + 1e-9);
 }
 
@@ -83,17 +93,17 @@ TEST(RewirerTest, MovesClusteringTowardTarget) {
   // Scramble: rewire toward a near-zero (but positive-mass) target first
   // to destroy clustering. An all-zero target would be a no-op: with
   // Σ ĉ̄ = 0 there is nothing to optimize.
-  Rng rng(9);
   RewireOptions scramble;
   scramble.rewiring_coefficient = 30.0;
   std::vector<double> low(g.MaxDegree() + 1, 0.005);
-  RewireToClustering(g, 0, low, scramble, rng);
+  RewirePaperSchedule(g, 0, low, scramble, /*seed=*/9);
   const double gap_before = NormalizedL1(
       target, ExtractDegreeDependentClustering(g));
 
   RewireOptions options;
   options.rewiring_coefficient = 100.0;
-  const RewireStats stats = RewireToClustering(g, 0, target, options, rng);
+  const RewireStats stats =
+      RewirePaperSchedule(g, 0, target, options, /*seed=*/19);
   const double gap_after = NormalizedL1(
       target, ExtractDegreeDependentClustering(g));
   EXPECT_LT(gap_after, 0.7 * gap_before);
@@ -104,10 +114,10 @@ TEST(RewirerTest, FinalDistanceMatchesFreshComputation) {
   Rng gen_rng(10);
   Graph g = GeneratePowerlawCluster(250, 3, 0.5, gen_rng);
   std::vector<double> target(g.MaxDegree() + 1, 0.25);
-  Rng rng(11);
   RewireOptions options;
   options.rewiring_coefficient = 20.0;
-  const RewireStats stats = RewireToClustering(g, 0, target, options, rng);
+  const RewireStats stats =
+      RewirePaperSchedule(g, 0, target, options, /*seed=*/11);
 
   // Recompute D from scratch and compare with the incrementally
   // maintained value.
@@ -129,10 +139,10 @@ TEST(RewirerTest, ToleratesLoopsAndMultiEdgesAmongCandidates) {
   const DegreeVector dv_before = ExtractDegreeVector(g);
 
   std::vector<double> target(g.MaxDegree() + 1, 0.2);
-  Rng rng(21);
   RewireOptions options;
   options.rewiring_coefficient = 40.0;
-  const RewireStats stats = RewireToClustering(g, 0, target, options, rng);
+  const RewireStats stats =
+      RewirePaperSchedule(g, 0, target, options, /*seed=*/21);
   EXPECT_EQ(ExtractDegreeVector(g), dv_before);
   EXPECT_LE(stats.final_distance, stats.initial_distance + 1e-9);
 }
@@ -140,11 +150,10 @@ TEST(RewirerTest, ToleratesLoopsAndMultiEdgesAmongCandidates) {
 TEST(RewirerTest, AttemptsFollowRcCoefficient) {
   Rng gen_rng(12);
   Graph g = GeneratePowerlawCluster(100, 3, 0.3, gen_rng);
-  Rng rng(13);
   RewireOptions options;
   options.rewiring_coefficient = 7.0;
   const RewireStats stats =
-      RewireToClustering(g, 0, {0.0, 0.0, 0.1}, options, rng);
+      RewirePaperSchedule(g, 0, {0.0, 0.0, 0.1}, options, /*seed=*/13);
   EXPECT_EQ(stats.attempts, static_cast<std::size_t>(
                                 7.0 * static_cast<double>(g.NumEdges())));
 }

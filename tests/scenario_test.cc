@@ -169,19 +169,19 @@ TEST(ScenarioSpecTest, RewireBatchAndFrontierWalkersAxes) {
   // rewire_batch, then frontier_walkers innermost.
   const ScenarioSpec array = ScenarioSpec::FromJson(Json::Parse(R"({
     "datasets": ["anybeat"],
-    "rewire_batch": [0, 64],
+    "rewire_batch": [1, 64],
     "frontier_walkers": [2, 10, 50],
     "crawler": "frontier",
     "methods": ["rw"]
   })"));
-  EXPECT_EQ(array.rewire_batches, (std::vector<std::size_t>{0, 64}));
+  EXPECT_EQ(array.rewire_batches, (std::vector<std::size_t>{1, 64}));
   EXPECT_EQ(array.frontier_walkers,
             (std::vector<std::size_t>{2, 10, 50}));
   const std::vector<CellKnobs> knobs = array.ExpandKnobs();
   ASSERT_EQ(knobs.size(), 6u);
-  EXPECT_EQ(knobs[0].rewire_batch, 0u);
+  EXPECT_EQ(knobs[0].rewire_batch, 1u);
   EXPECT_EQ(knobs[0].frontier_walkers, 2u);
-  EXPECT_EQ(knobs[1].rewire_batch, 0u);
+  EXPECT_EQ(knobs[1].rewire_batch, 1u);
   EXPECT_EQ(knobs[1].frontier_walkers, 10u);
   EXPECT_EQ(knobs[3].rewire_batch, 64u);
   EXPECT_EQ(knobs[3].frontier_walkers, 2u);
@@ -289,7 +289,7 @@ TEST(ScenarioSpecTest, AblationBuiltinsSweepTheirAxes) {
   EXPECT_EQ(BuiltinScenario("ablation-rewire").protects,
             (std::vector<bool>{true, false}));
   const ScenarioSpec batch = BuiltinScenario("ablation-batch");
-  EXPECT_EQ(batch.rewire_batches, (std::vector<std::size_t>{0, 64, 256}));
+  EXPECT_EQ(batch.rewire_batches, (std::vector<std::size_t>{1, 64, 256}));
   EXPECT_TRUE(batch.parallel_assembly);
   const ScenarioSpec frontier = BuiltinScenario("ablation-frontier");
   EXPECT_EQ(frontier.frontier_walkers,
@@ -378,6 +378,30 @@ TEST(ScenarioSpecTest, ValidationErrors) {
     EXPECT_THROW(ScenarioSpec::FromJson(Json::Parse(text)), ScenarioError)
         << "spec: " << text;
   }
+}
+
+TEST(ScenarioSpecTest, RewireBatchZeroRejected) {
+  // Batch 0 used to select the sequential Algorithm 6 loop, which is
+  // gone; the spec rejects it (in a document or a programmatic spec) with
+  // an error naming the key, instead of silently running the default.
+  ScenarioSpec spec;
+  spec.datasets = {ScenarioDataset{"anybeat", std::nullopt}};
+  spec.rewire_batches = {0};
+  for (const char* text :
+       {R"({"datasets": ["anybeat"], "rewire_batch": 0})",
+        R"({"datasets": ["anybeat"], "rewire_batch": [64, 0]})"}) {
+    try {
+      ScenarioSpec::FromJson(Json::Parse(text));
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const ScenarioError& e) {
+      EXPECT_NE(std::string(e.what()).find("rewire_batch"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(spec.Validate(), ScenarioError);
+  EXPECT_EQ(ScenarioSpec().rewire_batches,
+            (std::vector<std::size_t>{kDefaultRewireBatch}));
 }
 
 TEST(ScenarioSpecTest, NonFiniteNumbersRejectedForEveryNumericKnob) {
@@ -730,11 +754,10 @@ TEST(ScenarioEngineTest, ReportIsByteIdenticalAcrossThreadCounts) {
 
 TEST(ScenarioEngineTest,
      RewireKnobReportByteIdenticalAcrossRewireThreadCounts) {
-  // A spec that turns on the batched rewiring engine must produce the
-  // same StripVolatile'd report no matter how many rewire workers score
-  // its proposal batches — the intra-trial extension of the engine's
-  // determinism contract. The spec pins trials to one engine thread so
-  // only the rewire worker count varies.
+  // A spec must produce the same StripVolatile'd report no matter how
+  // many rewire workers score its proposal batches — the intra-trial
+  // extension of the engine's determinism contract. The spec pins trials
+  // to one engine thread so only the rewire worker count varies.
   ScenarioSpec spec = TinySpec();
   spec.rewire_batches = {32};
   ASSERT_EQ(spec.rewire_threads, 1u);  // the default the override beats
@@ -946,7 +969,7 @@ TEST(ScenarioEngineTest,
   // assembly draws or the estimator chunks.
   ScenarioSpec spec = TinySpec();
   spec.parallel_assembly = true;
-  spec.rewire_batches = {0, 16};
+  spec.rewire_batches = {16, 64};
   ASSERT_EQ(spec.assembly_threads, 1u);
   ASSERT_EQ(spec.estimator_threads, 1u);
 
@@ -967,15 +990,15 @@ TEST(ScenarioEngineTest,
   EXPECT_NE(a.find("\"assembly_threads\": 1"), std::string::npos);
   EXPECT_NE(a.find("\"estimator_threads\": 1"), std::string::npos);
   EXPECT_NE(a.find("\"parallel_assembly\": true"), std::string::npos);
-  EXPECT_NE(a.find("\"rewire_batch\": 0"), std::string::npos);
   EXPECT_NE(a.find("\"rewire_batch\": 16"), std::string::npos);
+  EXPECT_NE(a.find("\"rewire_batch\": 64"), std::string::npos);
   EXPECT_NE(a.find("\"frontier_walkers\": 10"), std::string::npos);
 
   // The batch axis doubled the matrix, and the cells echo their batch
   // coordinate (cells expand batch-minor within each fraction).
   ASSERT_EQ(one.cells.size(), 4u);  // 2 fractions x 2 batches
-  EXPECT_EQ(one.cells[0].rewire_batch, 0u);
-  EXPECT_EQ(one.cells[1].rewire_batch, 16u);
+  EXPECT_EQ(one.cells[0].rewire_batch, 16u);
+  EXPECT_EQ(one.cells[1].rewire_batch, 64u);
   EXPECT_EQ(one.cells[0].frontier_walkers, 10u);
   // The two batch coordinates select different rewiring trajectories for
   // the same seeds (batch is an algorithm knob).

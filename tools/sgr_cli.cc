@@ -39,8 +39,7 @@
 //       environment). --threads (or SGR_THREADS; 0 = hardware
 //       concurrency) overrides the scenario's own trial thread count;
 //       --rewire-threads (or SGR_REWIRE_THREADS) overrides its
-//       intra-trial rewiring worker count (used when the spec's
-//       "rewire_batch" axis has a nonzero value), --assembly-threads
+//       intra-trial rewiring worker count, --assembly-threads
 //       (SGR_ASSEMBLY_THREADS) the parallel Algorithm 5 assembly worker
 //       count (used with "parallel_assembly": true), and
 //       --estimator-threads (SGR_ESTIMATOR_THREADS) the chunked
@@ -135,6 +134,7 @@
 #include "scenario/report.h"
 #include "scenario/spec.h"
 #include "util/srccheck.h"
+#include "util/strict_number.h"
 
 namespace {
 
@@ -173,12 +173,14 @@ class Args {
 
   double GetDouble(const std::string& key, double dflt) const {
     auto it = values_.find(key);
-    return it == values_.end() ? dflt : std::stod(it->second);
+    return it == values_.end() ? dflt
+                               : ParseStrictDouble(it->second, "--" + key);
   }
 
   std::uint64_t GetUint(const std::string& key, std::uint64_t dflt) const {
     auto it = values_.find(key);
-    return it == values_.end() ? dflt : std::stoull(it->second);
+    return it == values_.end() ? dflt
+                               : ParseStrictUint(it->second, "--" + key);
   }
 
  private:
@@ -366,48 +368,34 @@ int CmdRun(const std::string& source, const Args& args) {
 
   // Thread-count precedence mirrors the bench binaries: the --threads
   // flag beats $SGR_THREADS beats the scenario's own "threads" field
-  // (0 = hardware concurrency throughout). An unset or unparseable
-  // SGR_THREADS falls back to the spec, per EnvOr's contract.
-  std::size_t threads = static_cast<std::size_t>(
-      EnvOr("SGR_THREADS", static_cast<double>(spec.threads)));
-  if (args.Has("threads")) {
-    threads = static_cast<std::size_t>(args.GetUint("threads", 1));
-  }
-  // Same precedence for the intra-trial workers: the rewiring engine
-  // (only active when the spec's "rewire_batch" axis has a nonzero
-  // value), the parallel assembly engine ("parallel_assembly": true),
-  // and the chunked estimator pass (always active).
-  std::size_t rewire_threads = static_cast<std::size_t>(EnvOr(
-      "SGR_REWIRE_THREADS", static_cast<double>(spec.rewire_threads)));
-  if (args.Has("rewire-threads")) {
-    rewire_threads =
-        static_cast<std::size_t>(args.GetUint("rewire-threads", 1));
-  }
-  std::size_t assembly_threads = static_cast<std::size_t>(EnvOr(
-      "SGR_ASSEMBLY_THREADS", static_cast<double>(spec.assembly_threads)));
-  if (args.Has("assembly-threads")) {
-    assembly_threads =
-        static_cast<std::size_t>(args.GetUint("assembly-threads", 1));
-  }
-  std::size_t estimator_threads = static_cast<std::size_t>(
-      EnvOr("SGR_ESTIMATOR_THREADS",
-            static_cast<double>(spec.estimator_threads)));
-  if (args.Has("estimator-threads")) {
-    estimator_threads =
-        static_cast<std::size_t>(args.GetUint("estimator-threads", 1));
-  }
+  // (0 = hardware concurrency throughout). The same holds for the
+  // intra-trial workers of the rewiring engine, the parallel assembly
+  // engine ("parallel_assembly": true), and the chunked estimator pass.
+  const auto thread_knob = [&args](const char* flag, const char* env,
+                                   std::size_t spec_value) {
+    std::uint64_t value = spec_value;
+    const char* env_value = std::getenv(env);
+    if (args.Has(flag)) {
+      value = args.GetUint(flag, 0);
+    } else if (env_value != nullptr && *env_value != '\0') {
+      value = ParseStrictUint(env_value, env);
+    }
+    return static_cast<std::size_t>(value);
+  };
+  const std::size_t threads =
+      thread_knob("threads", "SGR_THREADS", spec.threads);
+  const std::size_t rewire_threads = thread_knob(
+      "rewire-threads", "SGR_REWIRE_THREADS", spec.rewire_threads);
+  const std::size_t assembly_threads = thread_knob(
+      "assembly-threads", "SGR_ASSEMBLY_THREADS", spec.assembly_threads);
+  const std::size_t estimator_threads = thread_knob(
+      "estimator-threads", "SGR_ESTIMATOR_THREADS", spec.estimator_threads);
 
   std::cerr << "scenario '" << spec.name << "': " << spec.datasets.size()
             << " dataset(s) x " << spec.fractions.size()
             << " fraction(s), " << spec.trials << " trials, threads = "
-            << ResolveThreadCount(threads);
-  const bool batched_rewire =
-      std::any_of(spec.rewire_batches.begin(), spec.rewire_batches.end(),
-                  [](std::size_t batch) { return batch != 0; });
-  if (batched_rewire) {
-    std::cerr << ", rewire on " << ResolveThreadCount(rewire_threads)
-              << " thread(s)";
-  }
+            << ResolveThreadCount(threads) << ", rewire on "
+            << ResolveThreadCount(rewire_threads) << " thread(s)";
   if (spec.parallel_assembly) {
     std::cerr << ", assembly on " << ResolveThreadCount(assembly_threads)
               << " thread(s)";
@@ -667,8 +655,7 @@ void PrintUsage() {
       "  compare   --original FILE --generated FILE [--sources N]\n"
       "  run       SCENARIO(.json file or built-in name) [--out FILE]\n"
       "            [--threads N]   (or SGR_THREADS; 0 = all cores)\n"
-      "            [--rewire-threads N]   (or SGR_REWIRE_THREADS; used\n"
-      "            when the spec's rewire_batch axis is nonzero)\n"
+      "            [--rewire-threads N]   (or SGR_REWIRE_THREADS)\n"
       "            [--assembly-threads N]   (or SGR_ASSEMBLY_THREADS;\n"
       "            used with parallel_assembly: true)\n"
       "            [--estimator-threads N]   (or SGR_ESTIMATOR_THREADS)\n"
