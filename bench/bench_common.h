@@ -4,8 +4,11 @@
 #include <cstddef>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
+#include <functional>
 #include <iostream>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,14 +24,19 @@
 #include "scenario/engine.h"
 #include "scenario/report.h"
 #include "obs/timer.h"
+#include "util/strict_number.h"
 
 namespace sgr::bench {
 
-/// Environment-tunable knobs shared by every experiment binary.
+/// Knobs of the benches that build their own workload (the parallel
+/// scaling benches, the dK ladder, Figure 4). The benches that reproduce
+/// the paper's tables and the ablations run a built-in scenario instead
+/// (RunBuiltinScenarioBench below) and read only SGR_THREADS and
+/// SGR_DATASET_SCALE of these.
 ///
 ///   SGR_RUNS          runs per (dataset, method) cell
 ///   SGR_RC            rewiring coefficient RC (paper: 500)
-///   SGR_FRACTION      queried-node fraction for the table benches
+///   SGR_FRACTION      queried-node fraction
 ///   SGR_PATH_SOURCES  BFS/Brandes sources for path properties
 ///                     (0 = exact all-pairs)
 ///   SGR_THREADS       worker threads for the Monte Carlo trials
@@ -40,9 +48,13 @@ namespace sgr::bench {
 ///   --threads N       same as SGR_THREADS
 ///   --runs N          same as SGR_RUNS
 ///   --json PATH       additionally write the run as a structured JSON
-///                     report (scenario/report.h schema, the same format
-///                     `sgr run` emits), so every bench invocation can be
-///                     recorded as a BENCH_*.json data point
+///                     report (scenario/report.h schema), so every bench
+///                     invocation can be recorded as a BENCH_*.json data
+///                     point
+///
+/// Every number parses strictly (EnvOr/EnvUintOr, ParseStrictUint): unset
+/// or empty means the default, and a malformed value ("2x", "-1") ends
+/// the bench with an error naming it.
 struct BenchConfig {
   std::size_t runs;
   double rc;
@@ -51,52 +63,37 @@ struct BenchConfig {
   std::size_t threads = 1;
   std::string json_path;  ///< empty = no JSON report
 
-  static BenchConfig FromEnv(std::size_t default_runs, double default_rc,
-                             double default_fraction = 0.10,
-                             std::size_t default_sources = 600) {
-    BenchConfig c;
-    c.runs = static_cast<std::size_t>(
-        EnvOr("SGR_RUNS", static_cast<double>(default_runs)));
-    if (c.runs == 0) c.runs = default_runs;  // zero trials is never useful
-    c.rc = EnvOr("SGR_RC", default_rc);
-    c.fraction = EnvOr("SGR_FRACTION", default_fraction);
-    c.path_sources = static_cast<std::size_t>(
-        EnvOr("SGR_PATH_SOURCES", static_cast<double>(default_sources)));
-    c.threads = static_cast<std::size_t>(EnvOr("SGR_THREADS", 1.0));
-    return c;
-  }
-
-  /// FromEnv plus command-line overrides. Every experiment binary accepts
-  /// `--threads N` (0 = hardware concurrency): Monte Carlo trials then run
-  /// concurrently over one shared CsrGraph snapshot of the dataset, with
-  /// the distance aggregates identical for every N (see RunExperiments).
-  /// Unparseable flag values are ignored (the env/default value stays),
-  /// mirroring EnvOr; `--runs 0` is rejected too, since zero trials only
+  /// Every bench accepts `--threads N` (0 = hardware concurrency): Monte
+  /// Carlo trials then run concurrently over one shared CsrGraph snapshot
+  /// of the dataset, with the distance aggregates identical for every N
+  /// (see RunExperiments). Zero runs is rejected, since zero trials only
   /// produces empty aggregates and divisions by zero downstream.
   static BenchConfig FromArgs(int argc, char** argv,
                               std::size_t default_runs, double default_rc,
-                              double default_fraction = 0.10,
                               std::size_t default_sources = 600) {
-    BenchConfig c = FromEnv(default_runs, default_rc, default_fraction,
-                            default_sources);
-    const auto parse = [](const char* text, unsigned long* out) {
-      char* end = nullptr;
-      const unsigned long value = std::strtoul(text, &end, 10);
-      if (end == text || *end != '\0') return false;
-      *out = value;
-      return true;
-    };
-    for (int i = 1; i + 1 < argc; ++i) {
-      unsigned long value = 0;
-      if (std::strcmp(argv[i], "--threads") == 0 &&
-          parse(argv[i + 1], &value)) {
-        c.threads = static_cast<std::size_t>(value);
-      } else if (std::strcmp(argv[i], "--runs") == 0 &&
-                 parse(argv[i + 1], &value) && value > 0) {
-        c.runs = static_cast<std::size_t>(value);
-      } else if (std::strcmp(argv[i], "--json") == 0) {
-        c.json_path = argv[i + 1];
+    BenchConfig c;
+    try {
+      c.runs = EnvUintOr("SGR_RUNS", default_runs);
+      c.rc = EnvOr("SGR_RC", default_rc);
+      c.fraction = EnvOr("SGR_FRACTION", 0.10);
+      c.path_sources = EnvUintOr("SGR_PATH_SOURCES", default_sources);
+      c.threads = EnvUintOr("SGR_THREADS", 1);
+      for (int i = 1; i + 1 < argc; ++i) {
+        if (std::strcmp(argv[i], "--threads") == 0) {
+          c.threads = ParseStrictUint(argv[i + 1], "--threads");
+        } else if (std::strcmp(argv[i], "--runs") == 0) {
+          c.runs = ParseStrictUint(argv[i + 1], "--runs");
+        } else if (std::strcmp(argv[i], "--json") == 0) {
+          c.json_path = argv[i + 1];
+        }
       }
+      if (c.runs == 0) {
+        throw std::runtime_error("--runs / SGR_RUNS must be >= 1");
+      }
+    } catch (const std::exception& error) {
+      // A bench must never run a workload other than the one asked for.
+      std::cerr << "error: " << error.what() << "\n";
+      std::exit(1);
     }
     return c;
   }
@@ -130,28 +127,6 @@ struct BenchConfig {
   }
 };
 
-/// Runs `runs` experiment repetitions on `dataset` (concurrently on up to
-/// `threads` workers) and accumulates per-method distance and timing
-/// statistics, as one scenario-engine cell. This is the same code path
-/// `sgr run` executes (scenario/engine.h), so a bench's --json report and
-/// a scenario report share one schema and one aggregation (the numbers
-/// themselves match only where the seed bases line up — benches reuse one
-/// base per table, the engine derives a distinct base per cell). The *distance*
-/// aggregates are identical for every thread count; the *timing* fields
-/// are wall-clock measured inside each trial, so concurrent trials
-/// contending for cores inflate them — benches whose point is the timing
-/// (Table IV/V, the RC ablation) should be read with `--threads 1`, or
-/// treat only the ratios as meaningful.
-inline ScenarioCell RunDataset(const DatasetSpec& spec,
-                               const Graph& dataset,
-                               const GraphProperties& properties,
-                               const ExperimentConfig& experiment,
-                               std::size_t runs, std::uint64_t seed_base,
-                               std::size_t threads = 1) {
-  return RunScenarioCell(spec.name, dataset, properties, experiment, runs,
-                         seed_base, threads);
-}
-
 /// Collects report cells across a bench run and writes the JSON report if
 /// `--json PATH` was given. The report document (tool name, config echo,
 /// environment capture, cells) is assembled by scenario/report.h — the
@@ -165,12 +140,8 @@ class BenchJsonReport {
         threads_(ResolveThreadCount(config.threads)),
         cells_(Json::Array()) {}
 
-  /// Adds a standard scenario cell (the table benches).
-  void Add(const ScenarioCell& cell) { cells_.Push(ScenarioCellToJson(cell)); }
-
-  /// Adds a custom cell (the ablation benches). By convention volatile
-  /// wall-clock values go under a "timings" member so StripVolatile works
-  /// on ablation reports too.
+  /// Adds a custom cell. By convention volatile wall-clock values go
+  /// under a "timings" member so StripVolatile works on these reports too.
   void Add(Json cell) { cells_.Push(std::move(cell)); }
 
   /// Writes the report when --json was requested; prints the path.
@@ -210,62 +181,26 @@ inline void PrintDatasetBanner(const DatasetSpec& spec, const Graph& g) {
             << spec.paper_nodes << ", m = " << spec.paper_edges << ")\n";
 }
 
-/// Runs a built-in scenario as a bench binary: the workload definition
-/// lives entirely in the spec (scenario/spec.cc), execution goes through
-/// RunScenario, and `--json PATH` writes ScenarioReportToJson — the very
-/// function `sgr run <name> --out PATH` calls — so the two files are
-/// byte-identical (including after StripVolatile). This is what retired
-/// the ablation benches' bespoke C++ loops: a bench binary is now a
-/// pre-named `sgr run` plus a human-readable table.
-///
-/// Flags: `--threads N` (beats $SGR_THREADS beats the spec; 0 = all
-/// cores) and `--json PATH`. The historical per-bench env knobs are gone
-/// on purpose — a knob that changed the workload without changing the
-/// spec echo would break the report's attributability.
-inline int RunBuiltinScenarioBench(const std::string& name, int argc,
-                                   char** argv) {
-  const ScenarioSpec spec = BuiltinScenario(name);
-  std::size_t threads = static_cast<std::size_t>(
-      EnvOr("SGR_THREADS", static_cast<double>(spec.threads)));
-  std::string json_path;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0) {
-      char* end = nullptr;
-      const unsigned long value = std::strtoul(argv[i + 1], &end, 10);
-      if (end != argv[i + 1] && *end == '\0') {
-        threads = static_cast<std::size_t>(value);
-      }
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = argv[i + 1];
-    }
+/// Column headers of a per-method table: `first`, then the run's methods
+/// in the paper's column order (every cell's `methods` iterates in it).
+inline std::vector<std::string> MethodHeaders(
+    std::string first, const ScenarioRunResult& result) {
+  std::vector<std::string> headers = {std::move(first)};
+  for (const auto& [kind, aggregate] : result.cells.front().methods) {
+    headers.push_back(MethodName(kind));
   }
+  return headers;
+}
 
-  std::cout << "=== scenario '" << name
-            << "': " << BuiltinScenarioDescription(name) << " ===\n"
-            << "threads = " << ResolveThreadCount(threads)
-            << " (timings are wall-clock inside concurrent trials; read "
-               "them at --threads 1)\n\n";
-  const ScenarioRunResult result = RunScenario(spec, threads, &std::cout);
-
+/// The default table of RunBuiltinScenarioBench (the ablations): one row
+/// per (cell, method) with the cell's knob label (CellKnobsLabel).
+inline void PrintKnobTable(const ScenarioRunResult& result) {
   TablePrinter table(std::cout,
                      {"Dataset", "Knobs", "Method", "steps", "avg L1",
                       "final D", "rewire s"});
   for (const ScenarioCell& cell : result.cells) {
-    std::string knobs = WalkToken(cell.walk);
-    if (cell.crawler != CrawlerKind::kRw) {
-      knobs += "/" + CrawlerToken(cell.crawler);
-    }
-    if (cell.joint_mode != JointEstimatorMode::kHybrid) {
-      knobs += "/" + JointModeToken(cell.joint_mode);
-    }
-    knobs += "/rc " + TablePrinter::Fixed(cell.rc, 0);
-    if (!cell.protect_subgraph) knobs += "/unprotected";
-    if (cell.rewire_batch != 0) {
-      knobs += "/batch " + std::to_string(cell.rewire_batch);
-    }
-    if (cell.crawler == CrawlerKind::kFrontier) {
-      knobs += "/walkers " + std::to_string(cell.frontier_walkers);
-    }
+    std::string knobs = CellKnobsLabel(cell.knobs);
+    knobs = knobs.empty() ? "-" : knobs.substr(1);
     for (const auto& [kind, aggregate] : cell.methods) {
       const DistanceSummary summary = aggregate.distances.Summarize();
       table.AddRow({cell.dataset, knobs, MethodName(kind),
@@ -276,11 +211,57 @@ inline int RunBuiltinScenarioBench(const std::string& name, int argc,
     }
   }
   table.Print();
+}
 
-  if (!json_path.empty()) {
-    WriteJsonFile(ScenarioReportToJson(result), json_path);
-    std::cout << "\nwrote JSON report: " << json_path
-              << " (byte-identical to `sgr run " << name << " --out`)\n";
+/// Runs a built-in scenario as a bench binary: the workload definition
+/// lives entirely in the spec (scenario/spec.cc), execution goes through
+/// RunScenario, and `--json PATH` writes ScenarioReportToJson — the very
+/// function `sgr run <name> --out PATH` calls — so the two files are
+/// byte-identical (including after StripVolatile). A bench binary is a
+/// pre-named `sgr run` plus `print_tables`, its human-readable view of
+/// the finished run (the paper-shaped tables of the table/figure benches;
+/// PrintKnobTable for the ablations).
+///
+/// Flags: `--threads N` (beats $SGR_THREADS beats the spec; 0 = all
+/// cores) and `--json PATH`, both parsed strictly. The workload itself
+/// takes no env knobs on purpose — a knob that changed the workload
+/// without changing the spec echo would break the report's
+/// attributability. $SGR_DATASET_SCALE still applies (the built-ins leave
+/// `dataset_scale` at 0); anything else goes through `sgr scenarios show
+/// <name> > my.json` and `sgr run my.json`.
+inline int RunBuiltinScenarioBench(
+    const std::string& name, int argc, char** argv,
+    const std::function<void(const ScenarioRunResult&)>& print_tables =
+        PrintKnobTable) {
+  try {
+    const ScenarioSpec spec = BuiltinScenario(name);
+    std::size_t threads = EnvUintOr("SGR_THREADS", spec.threads);
+    std::string json_path;
+    for (int i = 1; i + 1 < argc; ++i) {
+      if (std::strcmp(argv[i], "--threads") == 0) {
+        threads = ParseStrictUint(argv[i + 1], "--threads");
+      } else if (std::strcmp(argv[i], "--json") == 0) {
+        json_path = argv[i + 1];
+      }
+    }
+
+    std::cout << "=== scenario '" << name
+              << "': " << BuiltinScenarioDescription(name) << " ===\n"
+              << "threads = " << ResolveThreadCount(threads)
+              << " (timings are wall-clock inside concurrent trials; read "
+                 "them at --threads 1)\n\n";
+    const ScenarioRunResult result = RunScenario(spec, threads, &std::cout);
+    std::cout << "\n";
+    print_tables(result);
+
+    if (!json_path.empty()) {
+      WriteJsonFile(ScenarioReportToJson(result), json_path);
+      std::cout << "\nwrote JSON report: " << json_path
+                << " (byte-identical to `sgr run " << name << " --out`)\n";
+    }
+  } catch (const std::exception& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 1;
   }
   return 0;
 }

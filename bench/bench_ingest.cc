@@ -39,6 +39,7 @@
 #include "graph/edge_list_reader.h"
 #include "obs/metrics.h"
 #include "obs/timer.h"
+#include "util/strict_number.h"
 
 namespace sgr {
 namespace {
@@ -106,19 +107,13 @@ void GenerateEdgeList(const std::string& path, std::uint64_t nodes,
   if (!out) throw std::runtime_error("failed writing '" + path + "'");
 }
 
-std::uint64_t FlagOrEnv(const char* env, std::uint64_t fallback) {
-  const char* value = std::getenv(env);
-  if (value == nullptr || *value == '\0') return fallback;
-  return std::strtoull(value, nullptr, 10);
-}
-
 int Run(int argc, char** argv) {
-  std::uint64_t edges = FlagOrEnv("SGR_INGEST_EDGES", 4000000);
-  std::uint64_t nodes = FlagOrEnv("SGR_INGEST_NODES", 0);
+  std::uint64_t edges = EnvUintOr("SGR_INGEST_EDGES", 4000000);
+  std::uint64_t nodes = EnvUintOr("SGR_INGEST_NODES", 0);
   std::uint64_t seed = 42;
   IngestOptions options;
   options.threads =
-      static_cast<std::size_t>(FlagOrEnv("SGR_INGEST_THREADS", 1));
+      static_cast<std::size_t>(EnvUintOr("SGR_INGEST_THREADS", 1));
   if (const char* compress = std::getenv("SGR_CSR_COMPRESS")) {
     if (std::strcmp(compress, "0") == 0) {
       options.compress = IngestOptions::Compress::kOff;
@@ -143,12 +138,11 @@ int Run(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--edges") {
-      edges = std::strtoull(next(), nullptr, 10);
+      edges = ParseStrictUint(next(), arg);
     } else if (arg == "--nodes") {
-      nodes = std::strtoull(next(), nullptr, 10);
+      nodes = ParseStrictUint(next(), arg);
     } else if (arg == "--threads") {
-      options.threads =
-          static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+      options.threads = static_cast<std::size_t>(ParseStrictUint(next(), arg));
     } else if (arg == "--compress") {
       const std::string mode = next();
       if (mode == "on") {
@@ -167,9 +161,9 @@ int Run(int argc, char** argv) {
     } else if (arg == "--out") {
       out_path = next();
     } else if (arg == "--seed") {
-      seed = std::strtoull(next(), nullptr, 10);
+      seed = ParseStrictUint(next(), arg);
     } else if (arg == "--fraction") {
-      fraction = std::strtod(next(), nullptr);
+      fraction = ParseStrictDouble(next(), arg);
     } else if (arg == "--keep") {
       keep = true;
     } else if (arg == "--trial") {

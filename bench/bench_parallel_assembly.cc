@@ -79,7 +79,6 @@ int main(int argc, char** argv) {
   const BenchConfig config =
       BenchConfig::FromArgs(argc, argv, /*default_runs=*/1,
                             /*default_rc=*/0.0,
-                            /*default_fraction=*/0.10,
                             /*default_sources=*/0);
   bool threads_given = std::getenv("SGR_THREADS") != nullptr;
   for (int i = 1; i + 1 < argc; ++i) {

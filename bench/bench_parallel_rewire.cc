@@ -57,16 +57,13 @@ bool SameStats(const sgr::RewireStats& x, const sgr::RewireStats& y) {
          x.final_distance == y.final_distance;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   using namespace sgr;
   using namespace sgr::bench;
 
   const BenchConfig config =
       BenchConfig::FromArgs(argc, argv, /*default_runs=*/1,
                             /*default_rc=*/200.0,
-                            /*default_fraction=*/0.10,
                             /*default_sources=*/0);
   bool threads_given = std::getenv("SGR_THREADS") != nullptr;
   for (int i = 1; i + 1 < argc; ++i) {
@@ -74,8 +71,8 @@ int main(int argc, char** argv) {
   }
   const std::size_t max_threads =
       ResolveThreadCount(threads_given ? config.threads : 0);
-  const auto batch = static_cast<std::size_t>(
-      EnvOr("SGR_REWIRE_BATCH", static_cast<double>(kDefaultRewireBatch)));
+  const std::size_t batch =
+      EnvUintOr("SGR_REWIRE_BATCH", kDefaultRewireBatch);
 
   const DatasetSpec spec = DatasetByName("brightkite");
   const Graph dataset = LoadDataset(spec);
@@ -184,4 +181,15 @@ int main(int argc, char** argv) {
                "phase — the O(k-bar^2) per-proposal work — dominates the "
                "sequential commit step.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return Run(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 1;
+  }
 }

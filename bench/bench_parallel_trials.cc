@@ -25,7 +25,6 @@ int main(int argc, char** argv) {
   BenchConfig config =
       BenchConfig::FromArgs(argc, argv, /*default_runs=*/8,
                             /*default_rc=*/50.0,
-                            /*default_fraction=*/0.10,
                             /*default_sources=*/200);
   // Unlike the table benches (default 1 thread), this bench's whole point
   // is the sweep: with no explicit --threads / SGR_THREADS the ceiling is

@@ -7,59 +7,35 @@
 // the proposed method beats Gjoka et al. decisively on c(k) and P(s)
 // (e.g. Slashdot c(k): 0.708 -> 0.205) and on most global properties.
 //
-// Env knobs: SGR_RUNS (default 3), SGR_RC (default 100; paper uses 500),
-// SGR_FRACTION (default 0.10), SGR_PATH_SOURCES, SGR_DATASET_SCALE.
-// `--json PATH` records the run as a structured report (same schema as
-// `sgr run table2`).
+// This binary is a pre-named `sgr run table2` (3 trials, RC 100 — the
+// paper uses 500 —, 600 path sources): `--json PATH` writes a report
+// byte-identical to `sgr run table2 --out PATH`. Flags: --threads N,
+// --json PATH; SGR_DATASET_SCALE scales the stand-ins. Other changes:
+// `sgr scenarios show table2 > t.json`, edit, `sgr run t.json`.
 
 #include "bench_common.h"
 
 int main(int argc, char** argv) {
   using namespace sgr;
-  using namespace sgr::bench;
-
-  const BenchConfig config =
-      BenchConfig::FromArgs(argc, argv, /*default_runs=*/3, /*default_rc=*/100.0);
-  std::cout << "=== Table II: per-property L1 distance, "
-            << 100.0 * config.fraction << "% queried ===\n"
-            << "runs: " << config.runs << ", RC = " << config.rc
-            << ", threads = " << ResolveThreadCount(config.threads) << "\n\n";
-
-  BenchJsonReport report("bench_table2_properties", config);
-  for (const char* name : {"slashdot", "gowalla", "livemocha"}) {
-    const DatasetSpec spec = DatasetByName(name);
-    const Graph dataset = LoadDataset(spec);
-    PrintDatasetBanner(spec, dataset);
-
-    const ExperimentConfig experiment = config.ToExperimentConfig();
-    const GraphProperties properties =
-        ComputeProperties(dataset, experiment.property_options);
-    const ScenarioCell cell =
-        RunDataset(spec, dataset, properties, experiment, config.runs,
-                   0x7AB'2000, config.threads);
-    report.Add(cell);
-
-    std::vector<std::string> headers = {"Method"};
-    for (const auto& prop : PropertyNames()) headers.push_back(prop);
-    TablePrinter table(std::cout, headers);
-    for (MethodKind kind :
-         {MethodKind::kBfs, MethodKind::kSnowball, MethodKind::kForestFire,
-          MethodKind::kRandomWalk, MethodKind::kGjoka,
-          MethodKind::kProposed}) {
-      const DistanceSummary summary =
-          cell.methods.at(kind).distances.Summarize();
-      std::vector<std::string> row = {MethodName(kind)};
-      for (double d : summary.mean_per_property) {
-        row.push_back(TablePrinter::Fixed(d));
-      }
-      table.AddRow(std::move(row));
-    }
-    table.Print();
-    std::cout << "\n";
-  }
-  std::cout
-      << "expected shape (paper Table II): Proposed/Gjoka fix n, k_avg, "
-         "P(k); Proposed additionally fixes knn(k), c(k), P(s), b(k).\n";
-  report.WriteIfRequested();
-  return 0;
+  return bench::RunBuiltinScenarioBench(
+      "table2", argc, argv, [](const ScenarioRunResult& result) {
+        std::vector<std::string> headers = {"Method"};
+        for (const auto& prop : PropertyNames()) headers.push_back(prop);
+        for (const ScenarioCell& cell : result.cells) {
+          std::cout << "## " << cell.dataset << "\n";
+          TablePrinter table(std::cout, headers);
+          for (const auto& [kind, aggregate] : cell.methods) {
+            std::vector<std::string> row = {MethodName(kind)};
+            for (double d : aggregate.distances.Summarize().mean_per_property) {
+              row.push_back(TablePrinter::Fixed(d));
+            }
+            table.AddRow(std::move(row));
+          }
+          table.Print();
+          std::cout << "\n";
+        }
+        std::cout << "expected shape (paper Table II): Proposed/Gjoka fix n, "
+                     "k_avg, P(k); Proposed additionally fixes knn(k), c(k), "
+                     "P(s), b(k).\n";
+      });
 }

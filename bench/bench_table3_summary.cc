@@ -8,50 +8,30 @@
 // row. Expected shape here: Proposed achieves the lowest average on every
 // dataset.
 //
-// Env knobs: SGR_RUNS (default 3), SGR_RC (default 100), SGR_FRACTION,
-// SGR_PATH_SOURCES, SGR_DATASET_SCALE. `--json PATH` records the run as a
-// structured report (same schema as `sgr run table3`).
+// This binary is a pre-named `sgr run table3` (3 trials, RC 100, 600 path
+// sources): `--json PATH` writes a report byte-identical to `sgr run
+// table3 --out PATH`. Flags: --threads N, --json PATH; SGR_DATASET_SCALE
+// scales the stand-ins. Other changes: `sgr scenarios show table3 >
+// t.json`, edit, `sgr run t.json`.
 
 #include "bench_common.h"
 
 int main(int argc, char** argv) {
   using namespace sgr;
-  using namespace sgr::bench;
-
-  const BenchConfig config =
-      BenchConfig::FromArgs(argc, argv, /*default_runs=*/3, /*default_rc=*/100.0);
-  std::cout << "=== Table III: average +- SD of L1 over 12 properties, "
-            << 100.0 * config.fraction << "% queried ===\n"
-            << "runs: " << config.runs << ", RC = " << config.rc
-            << ", threads = " << ResolveThreadCount(config.threads) << "\n\n";
-
-  BenchJsonReport report("bench_table3_summary", config);
-  TablePrinter table(std::cout, {"Dataset", "BFS", "Snowball", "FF", "RW",
-                                 "Gjoka et al.", "Proposed"});
-  for (const DatasetSpec& spec : StandardDatasets()) {
-    const Graph dataset = LoadDataset(spec);
-    PrintDatasetBanner(spec, dataset);
-    const ExperimentConfig experiment = config.ToExperimentConfig();
-    const GraphProperties properties =
-        ComputeProperties(dataset, experiment.property_options);
-    const ScenarioCell cell =
-        RunDataset(spec, dataset, properties, experiment, config.runs,
-                   0x7AB'3000, config.threads);
-    std::vector<std::string> row = {spec.name};
-    for (MethodKind kind :
-         {MethodKind::kBfs, MethodKind::kSnowball, MethodKind::kForestFire,
-          MethodKind::kRandomWalk, MethodKind::kGjoka,
-          MethodKind::kProposed}) {
-      const DistanceSummary s = cell.methods.at(kind).distances.Summarize();
-      row.push_back(TablePrinter::PlusMinus(s.mean_average, s.mean_sd));
-    }
-    table.AddRow(std::move(row));
-    report.Add(cell);
-  }
-  std::cout << "\n";
-  table.Print();
-  report.WriteIfRequested();
-  std::cout << "\nexpected shape (paper Table III): the Proposed column has "
-               "the lowest average on every dataset.\n";
-  return 0;
+  return bench::RunBuiltinScenarioBench(
+      "table3", argc, argv, [](const ScenarioRunResult& result) {
+        TablePrinter table(std::cout,
+                           bench::MethodHeaders("Dataset", result));
+        for (const ScenarioCell& cell : result.cells) {
+          std::vector<std::string> row = {cell.dataset};
+          for (const auto& [kind, aggregate] : cell.methods) {
+            const DistanceSummary s = aggregate.distances.Summarize();
+            row.push_back(TablePrinter::PlusMinus(s.mean_average, s.mean_sd));
+          }
+          table.AddRow(std::move(row));
+        }
+        table.Print();
+        std::cout << "\nexpected shape (paper Table III): the Proposed "
+                     "column has the lowest average on every dataset.\n";
+      });
 }

@@ -8,62 +8,37 @@
 // 43% faster than Gjoka et al. Expected shape: Proposed lowest on most
 // properties and on the average; subgraph sampling misestimates n by ~65%.
 //
-// Env knobs: SGR_RUNS (default 2; paper uses 5), SGR_RC (default 50 — the
-// graph is larger), SGR_FRACTION (default 0.01), SGR_PATH_SOURCES
-// (default 300: sampled evaluation, applied identically to original and
-// generated graphs), SGR_DATASET_SCALE. `--json PATH` records the run as
-// a structured report (same schema as `sgr run table5-youtube`).
+// This binary is a pre-named `sgr run table5-youtube` (2 trials — the
+// paper uses 5 —, RC 50 because the graph is larger, 300 path sources:
+// sampled evaluation, applied identically to original and generated
+// graphs): `--json PATH` writes a report byte-identical to `sgr run
+// table5-youtube --out PATH`. Flags: --threads N, --json PATH;
+// SGR_DATASET_SCALE scales the stand-in.
 
 #include "bench_common.h"
 
 int main(int argc, char** argv) {
   using namespace sgr;
-  using namespace sgr::bench;
-
-  const BenchConfig config =
-      BenchConfig::FromArgs(argc, argv, /*default_runs=*/2, /*default_rc=*/50.0,
-                           /*default_fraction=*/0.01,
-                           /*default_sources=*/300);
-  const DatasetSpec spec = YoutubeDataset();
-  const Graph dataset = LoadDataset(spec);
-  std::cout << "=== Table V: YouTube, " << 100.0 * config.fraction
-            << "% queried ===\n"
-            << "runs: " << config.runs << ", RC = " << config.rc
-            << ", threads = " << ResolveThreadCount(config.threads) << "\n\n";
-  PrintDatasetBanner(spec, dataset);
-
-  const ExperimentConfig experiment = config.ToExperimentConfig();
-  const GraphProperties properties =
-      ComputeProperties(dataset, experiment.property_options);
-  BenchJsonReport report("bench_table5_youtube", config);
-  const ScenarioCell cell =
-      RunDataset(spec, dataset, properties, experiment, config.runs,
-                 0x7AB'5000, config.threads);
-  report.Add(cell);
-
-  std::vector<std::string> headers = {"Method"};
-  for (const auto& prop : PropertyNames()) headers.push_back(prop);
-  headers.push_back("AVG +- SD");
-  headers.push_back("Time (sec)");
-  TablePrinter table(std::cout, headers);
-  for (MethodKind kind :
-       {MethodKind::kBfs, MethodKind::kSnowball, MethodKind::kForestFire,
-        MethodKind::kRandomWalk, MethodKind::kGjoka,
-        MethodKind::kProposed}) {
-    const MethodAggregate& agg = cell.methods.at(kind);
-    const DistanceSummary s = agg.distances.Summarize();
-    std::vector<std::string> row = {MethodName(kind)};
-    for (double d : s.mean_per_property) {
-      row.push_back(TablePrinter::Fixed(d));
-    }
-    row.push_back(TablePrinter::PlusMinus(s.mean_average, s.mean_sd));
-    row.push_back(TablePrinter::Fixed(agg.total_seconds, 2));
-    table.AddRow(std::move(row));
-  }
-  table.Print();
-  std::cout << "\nexpected shape (paper Table V): Proposed lowest AVG; "
-               "subgraph-sampling methods misestimate n by >60%; Proposed "
-               "generation faster than Gjoka et al.\n";
-  report.WriteIfRequested();
-  return 0;
+  return bench::RunBuiltinScenarioBench(
+      "table5-youtube", argc, argv, [](const ScenarioRunResult& result) {
+        std::vector<std::string> headers = {"Method"};
+        for (const auto& prop : PropertyNames()) headers.push_back(prop);
+        headers.push_back("AVG +- SD");
+        headers.push_back("Time (sec)");
+        TablePrinter table(std::cout, headers);
+        for (const auto& [kind, aggregate] : result.cells.front().methods) {
+          const DistanceSummary s = aggregate.distances.Summarize();
+          std::vector<std::string> row = {MethodName(kind)};
+          for (double d : s.mean_per_property) {
+            row.push_back(TablePrinter::Fixed(d));
+          }
+          row.push_back(TablePrinter::PlusMinus(s.mean_average, s.mean_sd));
+          row.push_back(TablePrinter::Fixed(aggregate.total_seconds, 2));
+          table.AddRow(std::move(row));
+        }
+        table.Print();
+        std::cout << "\nexpected shape (paper Table V): Proposed lowest AVG; "
+                     "subgraph-sampling methods misestimate n by >60%; "
+                     "Proposed generation faster than Gjoka et al.\n";
+      });
 }

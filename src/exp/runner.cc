@@ -17,6 +17,7 @@
 #include "sampling/random_walk.h"
 #include "sampling/snowball.h"
 #include "sampling/subgraph.h"
+#include "util/strict_number.h"
 
 namespace sgr {
 
@@ -248,9 +249,13 @@ std::vector<MethodRunResult> RunExperimentImpl(
 double EnvOr(const char* name, double fallback) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(value, &end);
-  return end == value ? fallback : parsed;
+  return ParseStrictDouble(value, name);
+}
+
+std::uint64_t EnvUintOr(const char* name, std::uint64_t fallback) {
+  const char* value = std::getenv(name);
+  if (value == nullptr || *value == '\0') return fallback;
+  return ParseStrictUint(value, name);
 }
 
 std::vector<MethodRunResult> RunExperiment(

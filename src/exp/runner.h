@@ -144,7 +144,7 @@ std::vector<MethodRunResult> RunExperiment(
 ///
 /// The original graph is snapshotted into one immutable CsrGraph shared
 /// read-only by every worker; trial i uses run_seed = seed_base + i — the
-/// same seed derivation RunDataset (bench_common.h) has always used — so
+/// same derivation as a scenario cell's trials (scenario/engine.h) — so
 /// the result set is identical for every thread count, and identical to
 /// calling the *CsrGraph overload* of RunExperiment sequentially with
 /// seed_base + i. (The Graph overload draws a different walk for the same
@@ -165,9 +165,17 @@ std::vector<std::vector<MethodRunResult>> RunExperiments(
     std::size_t num_trials, std::size_t threads = 1);
 
 /// Reads a double from environment variable `name`, or `fallback` if the
-/// variable is unset/invalid. Used by benches for RC / runs / fraction
-/// overrides (e.g. SGR_RC, SGR_RUNS).
+/// variable is unset or empty. The value parses strictly
+/// (util/strict_number.h): anything but a finite non-negative number
+/// throws std::runtime_error naming the variable, so "2x" or "garbage"
+/// never runs as 2 or as the default. Used by the benches and `sgr` for
+/// knobs such as SGR_RC and SGR_METRICS.
 double EnvOr(const char* name, double fallback);
+
+/// EnvOr for counts (threads, runs, batch sizes): a plain decimal
+/// integer, parsed with ParseStrictUint; "-1" or "2x" throws naming the
+/// variable, unset or empty means `fallback`.
+std::uint64_t EnvUintOr(const char* name, std::uint64_t fallback);
 
 }  // namespace sgr
 

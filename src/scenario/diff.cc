@@ -7,6 +7,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "scenario/spec.h"
+
 namespace sgr {
 
 namespace {
@@ -55,117 +57,51 @@ double NumberOr(const Json& object, const char* key, double fallback) {
                                                  : fallback;
 }
 
-bool BoolOr(const Json& object, const char* key, bool fallback) {
-  const Json* member = object.Find(key);
-  return member != nullptr && member->IsBool() ? member->AsBool()
-                                               : fallback;
-}
-
-/// Default knob values for cells recorded before their axis existed:
-/// the paper-faithful axis defaults, overridden by the report's config
-/// echo where the old schema carried the knob only there (RC before the
-/// axis schema; rewire_batch / frontier_walkers while they were scalar
-/// spec knobs). A config echo that already holds an array (the knob
-/// became an axis) keeps the default — such reports echo per cell.
-struct KnobDefaults {
-  double rc = 500.0;
-  double rewire_batch = 0.0;
-  double frontier_walkers = 10.0;
-};
-
-KnobDefaults DefaultsFromConfig(const Json& report) {
-  KnobDefaults defaults;
-  const Json* config = report.Find("config");
-  if (config != nullptr && config->IsObject()) {
-    defaults.rc = NumberOr(*config, "rc", defaults.rc);
-    defaults.rewire_batch =
-        NumberOr(*config, "rewire_batch", defaults.rewire_batch);
-    defaults.frontier_walkers =
-        NumberOr(*config, "frontier_walkers", defaults.frontier_walkers);
-  }
-  return defaults;
-}
-
-/// Pairing identity of one cell: every knob axis plus the dataset. The
-/// canonical form is a dumped JSON array, so number formatting is the
-/// writer's shortest-round-trip form on both sides.
-std::string CellKey(const Json& cell, const KnobDefaults& defaults) {
+/// Pairing identity of one cell: the dataset plus every knob axis, with
+/// the pre-axis defaults filling axes the cell does not echo. The
+/// canonical form is a dumped JSON array with object-valued axes
+/// flattened member by member, so number formatting is the writer's
+/// shortest-round-trip form on both sides. Knobs this build cannot read
+/// are appended raw, as one object, so such a cell pairs only with a cell
+/// echoing the same unknown value, never with a default cell.
+std::string CellKey(const Json& cell, const CellKnobs& defaults) {
   Json key = Json::Array();
   key.Push(Json::String(StringOr(cell, "dataset", "?")));
-  key.Push(Json::Number(NumberOr(cell, "query_fraction", 0.0)));
-  key.Push(Json::String(StringOr(cell, "walk", "simple")));
-  key.Push(Json::String(StringOr(cell, "crawler", "rw")));
-  const Json* estimator = cell.Find("estimator");
-  key.Push(Json::String(
-      estimator != nullptr && estimator->IsObject()
-          ? StringOr(*estimator, "joint_mode", "hybrid")
-          : "hybrid"));
-  key.Push(Json::Number(
-      estimator != nullptr && estimator->IsObject()
-          ? NumberOr(*estimator, "collision_fraction", 0.025)
-          : 0.025));
-  key.Push(Json::Number(NumberOr(cell, "rc", defaults.rc)));
-  key.Push(Json::Bool(BoolOr(cell, "protect_subgraph", true)));
-  key.Push(Json::Number(
-      NumberOr(cell, "rewire_batch", defaults.rewire_batch)));
-  key.Push(Json::Number(
-      NumberOr(cell, "frontier_walkers", defaults.frontier_walkers)));
-  // Noise-off cells omit the block entirely (and pre-noise reports never
-  // had it), so all four coordinates default to zero — off.
-  const Json* noise = cell.Find("noise");
-  const bool has_noise = noise != nullptr && noise->IsObject();
-  key.Push(Json::Number(has_noise ? NumberOr(*noise, "failure", 0.0) : 0.0));
-  key.Push(Json::Number(
-      has_noise ? NumberOr(*noise, "hidden_edges", 0.0) : 0.0));
-  key.Push(Json::Number(has_noise ? NumberOr(*noise, "churn", 0.0) : 0.0));
-  key.Push(Json::Number(
-      has_noise ? NumberOr(*noise, "api_budget", 0.0) : 0.0));
+  const Json knobs = CellKnobsToJson(CellKnobsFromJson(cell, defaults));
+  for (const auto& [axis, value] : knobs.ObjectMembers()) {
+    if (!value.IsObject()) {
+      key.Push(value);
+      continue;
+    }
+    for (const auto& [member, member_value] : value.ObjectMembers()) {
+      key.Push(member_value);
+    }
+  }
+  Json unread = UnreadCellKnobs(cell);
+  if (!unread.ObjectMembers().empty()) key.Push(std::move(unread));
   return key.Dump(0);
 }
 
 /// Human-readable cell label for findings: dataset @ fraction plus the
-/// knobs that differ from the defaults.
-std::string CellLabel(const Json& cell, const KnobDefaults& defaults) {
+/// knobs that differ from the pre-axis values. rc is compared with the
+/// report's own config rc instead, so a single-rc report's labels stay
+/// bare.
+std::string CellLabel(const Json& cell, const CellKnobs& defaults) {
+  const CellKnobs knobs = CellKnobsFromJson(cell, defaults);
+  CellKnobs baseline = PreAxisKnobs();
+  baseline.rc = defaults.rc;
   std::ostringstream label;
-  label << StringOr(cell, "dataset", "?") << " @ "
-        << 100.0 * NumberOr(cell, "query_fraction", 0.0) << "%";
-  const std::string walk = StringOr(cell, "walk", "simple");
-  if (walk != "simple") label << " walk=" << walk;
-  const std::string crawler = StringOr(cell, "crawler", "rw");
-  if (crawler != "rw") label << " crawler=" << crawler;
-  if (const Json* estimator = cell.Find("estimator")) {
-    const std::string joint = StringOr(*estimator, "joint_mode", "hybrid");
-    if (joint != "hybrid") label << " joint=" << joint;
-  }
-  if (const Json* rc = cell.Find("rc")) {
-    if (rc->IsNumber() && rc->AsNumber() != defaults.rc) {
-      label << " rc=" << rc->AsNumber();
-    }
-  }
-  if (!BoolOr(cell, "protect_subgraph", true)) label << " unprotected";
-  const double batch =
-      NumberOr(cell, "rewire_batch", defaults.rewire_batch);
-  if (batch != 0.0) label << " batch=" << batch;
-  const double walkers =
-      NumberOr(cell, "frontier_walkers", defaults.frontier_walkers);
-  if (walkers != 10.0) label << " walkers=" << walkers;
-  if (const Json* noise = cell.Find("noise")) {
-    if (noise->IsObject()) {
-      const double failure = NumberOr(*noise, "failure", 0.0);
-      const double hidden = NumberOr(*noise, "hidden_edges", 0.0);
-      const double churn = NumberOr(*noise, "churn", 0.0);
-      const double api_budget = NumberOr(*noise, "api_budget", 0.0);
-      if (failure != 0.0) label << " fail=" << failure;
-      if (hidden != 0.0) label << " hidden=" << hidden;
-      if (churn != 0.0) label << " churn=" << churn;
-      if (api_budget != 0.0) label << " api_budget=" << api_budget;
-    }
+  label << StringOr(cell, "dataset", "?") << " @ " << 100.0 * knobs.fraction
+        << "%" << CellKnobsLabel(knobs, baseline);
+  const Json unread = UnreadCellKnobs(cell);
+  for (const auto& [axis, raw] : unread.ObjectMembers()) {
+    label << " " << axis << "=" << raw.Dump(0);
   }
   return label.str();
 }
 
 std::map<std::string, const Json*> IndexCells(const Json& report,
-                                              const KnobDefaults& defaults) {
+                                              const CellKnobs& defaults) {
   std::map<std::string, const Json*> index;
   for (const Json& cell : report.Find("cells")->Items()) {
     std::string key = CellKey(cell, defaults);
@@ -453,8 +389,8 @@ DiffResult DiffReports(const Json& old_report, const Json& new_report,
   result.timings_compared = options.compare_timings;
   Comparator compare{options, result};
 
-  const KnobDefaults old_defaults = DefaultsFromConfig(old_report);
-  const KnobDefaults new_defaults = DefaultsFromConfig(new_report);
+  const CellKnobs old_defaults = PreAxisKnobs(old_report.Find("config"));
+  const CellKnobs new_defaults = PreAxisKnobs(new_report.Find("config"));
   const auto old_cells = IndexCells(old_report, old_defaults);
   const auto new_cells = IndexCells(new_report, new_defaults);
 

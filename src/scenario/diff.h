@@ -63,19 +63,18 @@ struct DiffResult {
 /// top-level object with schema == "sgr-report/1" and a "cells" array
 /// whose entries carry a dataset, a query fraction, and a methods array
 /// of {method, distances{average, per_property}} objects. Throws
-/// std::runtime_error naming the first offending element. (The knob keys
-/// introduced with the axis schema — walk, crawler, estimator, rc,
-/// protect_subgraph — are optional and default to the paper-faithful
-/// values, so reports recorded before the axes existed still validate
-/// and pair correctly.)
+/// std::runtime_error naming the first offending element. (The other knob
+/// axes are optional and default to their pre-axis values, PreAxisKnobs in
+/// scenario/spec.h, so reports recorded before an axis existed still
+/// validate and pair correctly.)
 void ValidateReportSchema(const Json& document);
 
-/// Compares two sgr-report/1 documents. Cells are paired by
-/// (dataset, query_fraction, walk, crawler, estimator, rc,
-/// protect_subgraph, rewire_batch, frontier_walkers, noise); methods
-/// inside a paired cell by name. The noise coordinate defaults to
-/// all-zero when a cell has no "noise" block, so pre-axis baselines pair
-/// with new noise-off cells. Produces a
+/// Compares two sgr-report/1 documents. Cells are paired by the dataset
+/// and every knob axis of the scenario table (CellKnobs in
+/// scenario/spec.h); methods inside a paired cell by name. An axis a cell
+/// does not echo pairs as its pre-axis value (PreAxisKnobs: e.g. a
+/// missing noise block is all-zero), so pre-axis baselines pair with new
+/// cells. Produces a
 /// regression finding for every deterministic drift beyond
 /// `options.l1_tolerance`, every timing slowdown beyond
 /// `options.time_tolerance`, and every cell or method present in `old`

@@ -29,48 +29,15 @@ CsrGraph Materialize(const ScenarioDataset& dataset, double dataset_scale,
                         provenance);
 }
 
-}  // namespace
-
-ScenarioCell RunScenarioCell(const std::string& dataset_name,
-                             const Graph& dataset,
-                             const GraphProperties& properties,
-                             const ExperimentConfig& config,
-                             std::size_t trials, std::uint64_t seed_base,
-                             std::size_t threads) {
-  // Snapshot once and delegate: byte-identical to the historical inline
-  // body, which also snapshotted per RunExperiments call.
-  const CsrGraph snapshot(dataset);
-  return RunScenarioCell(dataset_name, snapshot, properties, config, trials,
-                         seed_base, threads);
-}
-
-ScenarioCell RunScenarioCell(const std::string& dataset_name,
-                             const CsrGraph& dataset,
-                             const GraphProperties& properties,
-                             const ExperimentConfig& config,
-                             std::size_t trials, std::uint64_t seed_base,
-                             std::size_t threads) {
-  ScenarioCell cell;
-  cell.dataset = dataset_name;
-  cell.nodes = dataset.NumNodes();
-  cell.edges = dataset.NumEdges();
-  cell.query_fraction = config.query_fraction;
-  // The knob echo comes straight from the config actually executed, so a
-  // cell is attributable to its axis coordinates no matter who built the
-  // config (engine or bench).
-  cell.walk = config.walk;
-  cell.crawler = config.crawler;
-  cell.joint_mode = config.restoration.estimator.joint_mode;
-  cell.collision_fraction =
-      config.restoration.estimator.collision_threshold_fraction;
-  cell.rc = config.restoration.rewire.rewiring_coefficient;
-  cell.protect_subgraph = config.restoration.protect_subgraph;
-  cell.rewire_batch = config.restoration.parallel_rewire.batch_size;
-  cell.frontier_walkers = config.frontier_walkers;
-  cell.noise = config.noise;
-  cell.seed_base = seed_base;
-  cell.trials = trials;
-
+/// Runs the trials of `cell` (its dataset, knobs, seed base and trial
+/// count already set) on up to `threads` workers and fills in the
+/// per-method aggregates.
+void RunScenarioCell(const CsrGraph& dataset,
+                     const GraphProperties& properties,
+                     const ExperimentConfig& config, std::size_t threads,
+                     ScenarioCell* cell_out) {
+  ScenarioCell& cell = *cell_out;
+  const std::size_t trials = cell.trials;
   // Counters are attributed to this cell by snapshot delta: cells run
   // strictly sequentially (only trials inside one are concurrent), so
   // whatever the registry gained between the two snapshots is this
@@ -85,9 +52,8 @@ ScenarioCell RunScenarioCell(const std::string& dataset_name,
 
   obs::Span cell_span("cell");
   Timer timer;
-  const auto all_trials =
-      RunExperiments(dataset, properties, config, seed_base, trials,
-                     threads);
+  const auto all_trials = RunExperiments(dataset, properties, config,
+                                         cell.seed_base, trials, threads);
   cell.wall_seconds = timer.Seconds();
   cell_span.End();
 
@@ -163,8 +129,9 @@ ScenarioCell RunScenarioCell(const std::string& dataset_name,
       point.lcc *= inv;
     }
   }
-  return cell;
 }
+
+}  // namespace
 
 ScenarioRunResult RunScenario(const ScenarioSpec& spec,
                               std::size_t threads_override,
@@ -205,15 +172,20 @@ ScenarioRunResult RunScenario(const ScenarioSpec& spec,
     // Properties of the original depend on the dataset and the evaluation
     // options only — compute once, share across the knob sweep.
     const GraphProperties properties = ComputeProperties(
-        dataset, spec.ToExperimentConfig(spec.fractions.front())
+        dataset, spec.ToExperimentConfig(knob_matrix.front())
                      .property_options);
     for (const CellKnobs& knobs : knob_matrix) {
+      ScenarioCell cell;
+      cell.dataset = dataset_spec.name;
+      cell.nodes = dataset.NumNodes();
+      cell.edges = dataset.NumEdges();
+      cell.knobs = knobs;
       // uint64 arithmetic wraps modulo 2^64 by design — see the seeding
       // contract in engine.h.
-      const std::uint64_t cell_seed =
-          spec.seed_base +
-          static_cast<std::uint64_t>(cell_index) *
-              static_cast<std::uint64_t>(spec.trials);
+      cell.seed_base = spec.seed_base +
+                       static_cast<std::uint64_t>(cell_index) *
+                           static_cast<std::uint64_t>(spec.trials);
+      cell.trials = spec.trials;
       ExperimentConfig config = spec.ToExperimentConfig(knobs);
       // The intra-trial worker counts are execution knobs — overriding
       // them (or resolving 0 to the hardware) must not leak into the
@@ -222,29 +194,13 @@ ScenarioRunResult RunScenario(const ScenarioSpec& spec,
       config.restoration.parallel_assembly.threads =
           result.assembly_threads;
       config.restoration.estimator.threads = result.estimator_threads;
-      ScenarioCell cell = RunScenarioCell(
-          dataset_spec.name, dataset, properties, config, spec.trials,
-          cell_seed, result.threads);
+      RunScenarioCell(dataset, properties, config, result.threads, &cell);
       if (progress != nullptr) {
         *progress << "cell " << cell.dataset << " @ "
-                  << 100.0 * knobs.fraction << "% queried ["
-                  << WalkToken(knobs.walk) << "/"
-                  << CrawlerToken(knobs.crawler) << "/"
-                  << JointModeToken(knobs.estimator.joint_mode)
-                  << "/rc " << knobs.rc
-                  << (knobs.protect_subgraph ? "" : "/unprotected")
-                  << "/batch " << knobs.rewire_batch;
-        if (knobs.crawler == CrawlerKind::kFrontier) {
-          *progress << "/walkers " << knobs.frontier_walkers;
-        }
-        if (knobs.noise.Active()) {
-          *progress << "/noise f" << knobs.noise.failure << " h"
-                    << knobs.noise.hidden_edges << " c"
-                    << knobs.noise.churn << " b" << knobs.noise.api_budget;
-        }
-        *progress << "]: n = " << cell.nodes << ", m = " << cell.edges
-                  << ", " << spec.trials << " trials in "
-                  << cell.wall_seconds << " s\n";
+                  << 100.0 * knobs.fraction << "% queried"
+                  << CellKnobsLabel(knobs) << ": n = " << cell.nodes
+                  << ", m = " << cell.edges << ", " << spec.trials
+                  << " trials in " << cell.wall_seconds << " s\n";
       }
       result.cells.push_back(std::move(cell));
       ++cell_index;

@@ -16,42 +16,9 @@ namespace sgr {
 inline constexpr std::size_t kThreadsFromSpec =
     static_cast<std::size_t>(-1);
 
-/// Runs one cell of a scenario matrix — `trials` Monte Carlo repetitions
-/// of `config` on `dataset` over up to `threads` workers — and aggregates
-/// per-method distance and timing statistics. Trial i is seeded with
-/// `seed_base + i` (the convention every bench has always used), so the
-/// distance aggregates are identical for every thread count; the timing
-/// fields are wall-clock measured inside the trials and inflate under
-/// core contention — read them at --threads 1, or trust the ratios.
-///
-/// This is the single trial-matrix implementation behind both the
-/// scenario engine and the benches (bench_common.h delegates here), so a
-/// bench's --json output and an `sgr run` report share one schema and one
-/// aggregation path. Note the benches keep their historical per-table
-/// seed schedules (one fixed seed base for every dataset), while the
-/// engine gives each cell a distinct base — so the two agree numerically
-/// only where the seed bases happen to line up, by design.
-ScenarioCell RunScenarioCell(const std::string& dataset_name,
-                             const Graph& dataset,
-                             const GraphProperties& properties,
-                             const ExperimentConfig& config,
-                             std::size_t trials, std::uint64_t seed_base,
-                             std::size_t threads);
-
-/// Same, against an existing (possibly compressed) CSR snapshot — the
-/// engine's own path: datasets are materialized as CsrGraph directly, so
-/// file-ingested paper-scale graphs never exist in Graph form. The Graph
-/// overload above delegates here after snapshotting, byte-identically.
-ScenarioCell RunScenarioCell(const std::string& dataset_name,
-                             const CsrGraph& dataset,
-                             const GraphProperties& properties,
-                             const ExperimentConfig& config,
-                             std::size_t trials, std::uint64_t seed_base,
-                             std::size_t threads);
-
 /// Result of running a whole scenario: the spec as executed, the resolved
-/// worker thread count, and one cell per (dataset, fraction) pair in
-/// spec order.
+/// worker thread count, and one cell per (dataset, knob coordinate) pair
+/// in RunScenario's cell order.
 struct ScenarioRunResult {
   ScenarioSpec spec;
   std::size_t threads = 1;
@@ -72,11 +39,17 @@ struct ScenarioRunResult {
   std::vector<ScenarioCell> cells;
 };
 
-/// Expands `spec` into its {dataset x fraction x walk x crawler x
-/// estimator x rc x protect x rewire_batch x frontier_walkers} matrix
-/// (ScenarioSpec::ExpandKnobs order) and
-/// executes every cell through RunExperiments over a shared immutable
-/// CsrGraph snapshot per dataset. Registry datasets load through
+/// Expands `spec` into its dataset x knob-axis matrix (datasets-major,
+/// then ScenarioSpec::ExpandKnobs order) and executes every cell through
+/// RunExperiments over a shared immutable CsrGraph snapshot per dataset.
+/// The engine is the only code that builds a ScenarioCell: trial i of a
+/// cell is seeded with the cell's seed base + i, and the cell's per-method
+/// aggregates are reduced in trial order, so the distance aggregates are
+/// identical for every thread count. The timing fields are wall-clock
+/// measured inside the trials and inflate under core contention — read
+/// them at --threads 1, or trust the ratios. The benches that reproduce
+/// the paper's tables run their built-in scenario through here, so their
+/// --json reports are `sgr run` reports. Registry datasets load through
 /// LoadDataset (honoring $SGR_DATASET_DIR; `spec.dataset_scale` overrides
 /// $SGR_DATASET_SCALE when nonzero); generator datasets are built from
 /// their GeneratorSpec, so a spec can be fully hermetic. Properties of

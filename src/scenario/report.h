@@ -7,10 +7,10 @@
 #include <vector>
 
 #include "analysis/summary.h"
-#include "estimation/estimators.h"
 #include "exp/datasets.h"
 #include "exp/runner.h"
 #include "restore/method.h"
+#include "scenario/spec.h"
 #include "util/json.h"
 
 namespace sgr {
@@ -67,30 +67,16 @@ struct MethodAggregate {
 };
 
 /// One cell of a scenario matrix: a dataset at one coordinate of the
-/// knob axes (query fraction, walk, crawler, estimator variant, RC,
-/// candidate-set choice), with the per-method aggregates over the cell's
-/// trials. `methods` is keyed by MethodKind, so iteration (and the JSON
-/// emission) follows the paper's column order. The knob fields are
-/// echoed in the cell JSON — `sgr diff` pairs cells across reports by
+/// knob axes, with the per-method aggregates over the cell's trials.
+/// `methods` is keyed by MethodKind, so iteration (and the JSON emission)
+/// follows the paper's column order. The knobs are echoed in the cell
+/// JSON (CellKnobsToJson) — `sgr diff` pairs cells across reports by
 /// (dataset, knobs).
 struct ScenarioCell {
   std::string dataset;
   std::size_t nodes = 0;
   std::size_t edges = 0;
-  double query_fraction = 0.0;
-  WalkKind walk = WalkKind::kSimple;
-  CrawlerKind crawler = CrawlerKind::kRw;
-  JointEstimatorMode joint_mode = JointEstimatorMode::kHybrid;
-  double collision_fraction = 0.025;
-  double rc = 500.0;
-  bool protect_subgraph = true;
-  std::size_t rewire_batch = 0;
-  std::size_t frontier_walkers = 10;
-  /// Adversarial-oracle coordinates (perturbed_oracle.h). Echoed in the
-  /// cell JSON only when active — noise-off reports keep their historical
-  /// byte layout — with zero defaults on the diff side, so old and new
-  /// reports pair correctly.
-  CrawlNoise noise;
+  CellKnobs knobs;
   std::uint64_t seed_base = 0;
   std::size_t trials = 0;
   double wall_seconds = 0.0;  ///< whole trial matrix of this cell
@@ -135,13 +121,9 @@ RunEnvironment CaptureEnvironment(std::size_t threads,
 Json EnvironmentToJson(const RunEnvironment& environment);
 
 /// Emits one cell:
-///   {"dataset": ..., "nodes": ..., "edges": ..., "query_fraction": ...,
-///    "walk": "simple", "crawler": "rw",
-///    "estimator": {"joint_mode": "hybrid", "collision_fraction": ...},
-///    "rc": ..., "protect_subgraph": ...,
-///    "rewire_batch": ..., "frontier_walkers": ...,
-///    "noise": {"failure": ..., "hidden_edges": ..., "churn": ...,
-///              "api_budget": ...},  // only when the cell ran with noise
+///   {"dataset": ..., "nodes": ..., "edges": ...,
+///    "query_fraction": ..., "walk": "simple", ...,  // CellKnobsToJson:
+///                                    // every axis, noise only when on
 ///    "seed_base": ..., "trials": ...,
 ///    "methods": [{"method": "Proposed", "sample_steps": ...,
 ///                 "oracle_queries": ...,

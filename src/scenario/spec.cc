@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <set>
+#include <sstream>
+#include <tuple>
+#include <utility>
 
 #include "exp/datasets.h"
 #include "graph/components.h"
@@ -96,42 +100,7 @@ GeneratorSpec ParseGenerator(const Json& json) {
       throw ScenarioError("unknown generator key '" + key + "'");
     }
   }
-  if (gen.model != "powerlaw" && gen.model != "ba" && gen.model != "er" &&
-      gen.model != "community" && gen.model != "social") {
-    throw ScenarioError("unknown generator model '" + gen.model +
-                        "' (powerlaw|ba|er|community|social)");
-  }
-  if (gen.nodes < 10) {
-    throw ScenarioError("'datasets[].nodes' must be >= 10");
-  }
-  if (gen.triad_p < 0.0 || gen.triad_p > 1.0) {
-    throw ScenarioError("'datasets[].triad_p' must be in [0, 1]");
-  }
-  if (gen.fringe_fraction < 0.0 || gen.fringe_fraction >= 1.0) {
-    throw ScenarioError("'datasets[].fringe_fraction' must be in [0, 1)");
-  }
   return gen;
-}
-
-/// Parses an axis given as either one scalar or an array of scalars
-/// (the document forms `"walk": "simple"` and `"walk": ["simple",
-/// "non-backtracking"]` are both valid). `parse_one` maps one Json
-/// element to the axis value type.
-template <typename T, typename ParseOne>
-std::vector<T> ParseScalarOrArray(const Json& value, const std::string& key,
-                                  ParseOne parse_one) {
-  std::vector<T> axis;
-  if (value.IsArray()) {
-    for (const Json& entry : value.Items()) {
-      axis.push_back(parse_one(entry, key + "[]"));
-    }
-    if (axis.empty()) {
-      throw ScenarioError("'" + key + "' must contain at least one value");
-    }
-  } else {
-    axis.push_back(parse_one(value, key));
-  }
-  return axis;
 }
 
 EstimatorSpec ParseEstimator(const Json& value, const std::string& key) {
@@ -177,7 +146,6 @@ CrawlNoise ParseNoise(const Json& value, const std::string& key) {
 
 std::vector<ScenarioDataset> ParseDatasets(const Json& value) {
   std::vector<ScenarioDataset> datasets;
-  std::set<std::string> seen;
   for (const Json& entry : RequireArray(value, "datasets")) {
     ScenarioDataset dataset;
     if (entry.IsString()) {
@@ -193,15 +161,278 @@ std::vector<ScenarioDataset> ParseDatasets(const Json& value) {
       throw ScenarioError(
           "'datasets' entries must be registry names or generator objects");
     }
-    if (!seen.insert(dataset.name).second) {
-      throw ScenarioError("duplicate dataset '" + dataset.name + "'");
-    }
     datasets.push_back(std::move(dataset));
   }
-  if (datasets.empty()) {
-    throw ScenarioError("'datasets' must name at least one dataset");
-  }
   return datasets;
+}
+
+void RequireFinite(double value, const std::string& key) {
+  if (!std::isfinite(value)) {
+    throw ScenarioError("'" + key + "' must be finite");
+  }
+}
+
+void RequireInRange(bool in_range, const std::string& key,
+                    const char* range) {
+  if (!in_range) throw ScenarioError("'" + key + "' must be " + range);
+}
+
+std::size_t ParseCount(const Json& value, const std::string& key) {
+  return static_cast<std::size_t>(RequireUint(value, key));
+}
+
+Json EmitNumber(const double& value) { return Json::Number(value); }
+
+Json EmitCount(const std::size_t& value) {
+  return Json::Number(static_cast<double>(value));
+}
+
+Json EmitEstimator(const EstimatorSpec& estimator) {
+  Json json = Json::Object();
+  json.Set("joint_mode", Json::String(JointModeToken(estimator.joint_mode)));
+  json.Set("collision_fraction", Json::Number(estimator.collision_fraction));
+  return json;
+}
+
+Json EmitNoise(const CrawlNoise& noise) {
+  Json json = Json::Object();
+  json.Set("failure", Json::Number(noise.failure));
+  json.Set("hidden_edges", Json::Number(noise.hidden_edges));
+  json.Set("churn", Json::Number(noise.churn));
+  json.Set("api_budget", Json::Number(static_cast<double>(noise.api_budget)));
+  return json;
+}
+
+void CheckEstimator(const EstimatorSpec& estimator, const std::string& key) {
+  const std::string member = key + ".collision_fraction";
+  RequireFinite(estimator.collision_fraction, member);
+  RequireInRange(estimator.collision_fraction > 0.0 &&
+                     estimator.collision_fraction < 1.0,
+                 member, "in (0, 1)");
+}
+
+void CheckNoise(const CrawlNoise& noise, const std::string& key) {
+  // The oracle itself accepts [0, 1]; the spec stops at 0.9 because a
+  // cell where (almost) every query fails measures nothing.
+  for (const auto& [name, p] : {std::pair<const char*, double>{
+                                    "failure", noise.failure},
+                                {"hidden_edges", noise.hidden_edges},
+                                {"churn", noise.churn}}) {
+    RequireFinite(p, key + "." + name);
+    RequireInRange(p >= 0.0 && p <= 0.9, key + "." + name, "in [0, 0.9]");
+  }
+}
+
+void LabelEstimator(const EstimatorSpec& estimator,
+                    const EstimatorSpec& baseline, std::ostream& out) {
+  if (estimator.joint_mode != baseline.joint_mode) {
+    out << " joint=" << JointModeToken(estimator.joint_mode);
+  }
+  if (estimator.collision_fraction != baseline.collision_fraction) {
+    out << " collision=" << estimator.collision_fraction;
+  }
+}
+
+void LabelNoise(const CrawlNoise& noise, const CrawlNoise& baseline,
+                std::ostream& out) {
+  if (noise.failure != baseline.failure) out << " fail=" << noise.failure;
+  if (noise.hidden_edges != baseline.hidden_edges) {
+    out << " hidden=" << noise.hidden_edges;
+  }
+  if (noise.churn != baseline.churn) out << " churn=" << noise.churn;
+  if (noise.api_budget != baseline.api_budget) {
+    out << " api_budget=" << noise.api_budget;
+  }
+}
+
+/// The special cases of an axis row (most rows have none).
+enum AxisFlags : unsigned {
+  kPlainAxis = 0,
+  /// A scalar under the key in a report's config echo overrides
+  /// pre_axis: the axis was a scalar spec knob before it became an axis.
+  kPreAxisFromConfig = 1u << 0,
+  /// The spec document holds the axis as an array only, echoed right
+  /// after "datasets" (the fractions axis predates the scalar form).
+  kArrayOnly = 1u << 1,
+  /// Echoes leave the axis out while it holds only pre_axis, so reports
+  /// from before the axis existed keep their bytes.
+  kOmitDefault = 1u << 2,
+  /// The spec echo writes this axis after the next one (rewire_batch
+  /// joined the echo after frontier_walkers, but expands outside it).
+  kEchoAfterNext = 1u << 3,
+};
+
+/// Declaration of one cell axis of the scenario matrix; `T` is the type
+/// of one axis value. Every layer that handles an axis reads its row
+/// instead of naming the axis.
+template <typename T>
+struct AxisRow {
+  const char* key;       ///< spec document key
+  const char* cell_key;  ///< report cell key
+  std::vector<T> ScenarioSpec::*values;
+  T CellKnobs::*knob;
+  T (*parse)(const Json& value, const std::string& key);
+  Json (*emit)(const T& value);
+  /// Range check of one value; throws ScenarioError naming `key`. Null
+  /// when every parseable value is valid.
+  void (*check)(const T& value, const std::string& key);
+  /// Writes the label fragment of `value` if it differs from `baseline`.
+  /// Null for an axis that callers label themselves (the fraction).
+  void (*label)(const T& value, const T& baseline, std::ostream& out);
+  /// The value a report cell that does not echo this axis pairs as.
+  T pre_axis;
+  unsigned flags;  ///< AxisFlags
+
+  bool Has(AxisFlags flag) const { return (flags & flag) != 0; }
+};
+
+/// The nine cell axes in expansion order: ExpandKnobs makes the first the
+/// most significant digit of the cell index, and report cells echo the
+/// axes in this order.
+const auto& Axes() {
+  static const auto axes = std::make_tuple(
+      AxisRow<double>{
+          "fractions", "query_fraction", &ScenarioSpec::fractions,
+          &CellKnobs::fraction, RequireNumber, EmitNumber,
+          [](const double& fraction, const std::string& key) {
+            RequireFinite(fraction, key);
+            RequireInRange(fraction > 0.0 && fraction <= 1.0, key,
+                           "in (0, 1]");
+          },
+          nullptr, 0.0, kArrayOnly},
+      AxisRow<WalkKind>{
+          "walk", "walk", &ScenarioSpec::walks, &CellKnobs::walk,
+          [](const Json& value, const std::string& key) {
+            return WalkKindFromToken(RequireString(value, key));
+          },
+          [](const WalkKind& walk) { return Json::String(WalkToken(walk)); },
+          nullptr,
+          [](const WalkKind& walk, const WalkKind& baseline,
+             std::ostream& out) {
+            if (walk != baseline) out << " walk=" << WalkToken(walk);
+          },
+          WalkKind::kSimple, kPlainAxis},
+      AxisRow<CrawlerKind>{
+          "crawler", "crawler", &ScenarioSpec::crawlers, &CellKnobs::crawler,
+          [](const Json& value, const std::string& key) {
+            return CrawlerKindFromToken(RequireString(value, key));
+          },
+          [](const CrawlerKind& crawler) {
+            return Json::String(CrawlerToken(crawler));
+          },
+          nullptr,
+          [](const CrawlerKind& crawler, const CrawlerKind& baseline,
+             std::ostream& out) {
+            if (crawler != baseline) {
+              out << " crawler=" << CrawlerToken(crawler);
+            }
+          },
+          CrawlerKind::kRw, kPlainAxis},
+      AxisRow<EstimatorSpec>{
+          "estimator", "estimator", &ScenarioSpec::estimators,
+          &CellKnobs::estimator, ParseEstimator, EmitEstimator,
+          CheckEstimator, LabelEstimator, EstimatorSpec{}, kPlainAxis},
+      AxisRow<double>{
+          "rc", "rc", &ScenarioSpec::rcs, &CellKnobs::rc, RequireNumber,
+          EmitNumber,
+          [](const double& rc, const std::string& key) {
+            RequireFinite(rc, key);
+            RequireInRange(rc >= 0.0, key, ">= 0");
+          },
+          [](const double& rc, const double& baseline, std::ostream& out) {
+            if (rc != baseline) out << " rc=" << rc;
+          },
+          500.0, kPreAxisFromConfig},
+      AxisRow<bool>{
+          "protect_subgraph", "protect_subgraph", &ScenarioSpec::protects,
+          &CellKnobs::protect_subgraph, RequireBool,
+          [](const bool& protect) { return Json::Bool(protect); }, nullptr,
+          [](const bool& protect, const bool& baseline, std::ostream& out) {
+            if (protect != baseline) {
+              out << (protect ? " protected" : " unprotected");
+            }
+          },
+          true, kPlainAxis},
+      AxisRow<std::size_t>{
+          "rewire_batch", "rewire_batch", &ScenarioSpec::rewire_batches,
+          &CellKnobs::rewire_batch, ParseCount, EmitCount,
+          [](const std::size_t& batch, const std::string& key) {
+            RequireInRange(batch >= 1, key,
+                           ">= 1 (1 is the paper's schedule)");
+          },
+          [](const std::size_t& batch, const std::size_t& baseline,
+             std::ostream& out) {
+            if (batch != baseline) out << " batch=" << batch;
+          },
+          0, kPreAxisFromConfig | kEchoAfterNext},
+      AxisRow<std::size_t>{
+          "frontier_walkers", "frontier_walkers",
+          &ScenarioSpec::frontier_walkers, &CellKnobs::frontier_walkers,
+          ParseCount, EmitCount,
+          [](const std::size_t& walkers, const std::string& key) {
+            RequireInRange(walkers >= 1, key, ">= 1");
+          },
+          [](const std::size_t& walkers, const std::size_t& baseline,
+             std::ostream& out) {
+            if (walkers != baseline) out << " walkers=" << walkers;
+          },
+          10, kPreAxisFromConfig},
+      AxisRow<CrawlNoise>{
+          "noise", "noise", &ScenarioSpec::noises, &CellKnobs::noise,
+          ParseNoise, EmitNoise, CheckNoise, LabelNoise, CrawlNoise{},
+          kOmitDefault});
+  return axes;
+}
+
+template <typename Visit>
+void ForEachAxis(Visit&& visit) {
+  std::apply([&](const auto&... axis) { (visit(axis), ...); }, Axes());
+}
+
+/// Reads one value of `axis` leniently (report cells and config echoes
+/// written by other versions): false when `json` is unreadable.
+template <typename T>
+bool TryParse(const AxisRow<T>& axis, const Json& json, T* value) {
+  try {
+    *value = axis.parse(json, axis.key);
+    return true;
+  } catch (const ScenarioError&) {
+    return false;
+  }
+}
+
+/// The spec echo of one axis: a scalar for one value, else an array.
+template <typename T>
+Json EmitAxis(const AxisRow<T>& axis, const std::vector<T>& values) {
+  if (values.size() == 1 && !axis.Has(kArrayOnly)) {
+    return axis.emit(values.front());
+  }
+  Json array = Json::Array();
+  for (const T& value : values) array.Push(axis.emit(value));
+  return array;
+}
+
+/// Parses `value` into the axis whose spec key is `key`; false when no
+/// axis has that key.
+bool ParseAxis(const std::string& key, const Json& value,
+               ScenarioSpec* spec) {
+  bool found = false;
+  ForEachAxis([&](const auto& axis) {
+    if (key != axis.key) return;
+    found = true;
+    auto& values = spec->*axis.values;
+    values.clear();
+    if (value.IsArray()) {
+      for (const Json& item : value.Items()) {
+        values.push_back(axis.parse(item, key + "[]"));
+      }
+    } else if (axis.Has(kArrayOnly)) {
+      throw ScenarioError("'" + key + "' must be an array");
+    } else {
+      values.push_back(axis.parse(value, key));
+    }
+  });
+  return found;
 }
 
 }  // namespace
@@ -360,11 +591,6 @@ ScenarioSpec ScenarioSpec::FromJson(const Json& json) {
     } else if (key == "datasets") {
       spec.datasets = ParseDatasets(value);
       saw_datasets = true;
-    } else if (key == "fractions") {
-      spec.fractions.clear();
-      for (const Json& f : RequireArray(value, key)) {
-        spec.fractions.push_back(RequireNumber(f, "fractions[]"));
-      }
     } else if (key == "methods") {
       spec.methods.clear();
       for (const Json& m : RequireArray(value, key)) {
@@ -377,46 +603,6 @@ ScenarioSpec ScenarioSpec::FromJson(const Json& json) {
       spec.threads = static_cast<std::size_t>(RequireUint(value, key));
     } else if (key == "seed_base") {
       spec.seed_base = RequireUint(value, key);
-    } else if (key == "walk") {
-      spec.walks = ParseScalarOrArray<WalkKind>(
-          value, key, [](const Json& v, const std::string& k) {
-            return WalkKindFromToken(RequireString(v, k));
-          });
-    } else if (key == "crawler") {
-      spec.crawlers = ParseScalarOrArray<CrawlerKind>(
-          value, key, [](const Json& v, const std::string& k) {
-            return CrawlerKindFromToken(RequireString(v, k));
-          });
-    } else if (key == "estimator") {
-      spec.estimators = ParseScalarOrArray<EstimatorSpec>(
-          value, key, [](const Json& v, const std::string& k) {
-            return ParseEstimator(v, k);
-          });
-    } else if (key == "rc") {
-      spec.rcs = ParseScalarOrArray<double>(
-          value, key, [](const Json& v, const std::string& k) {
-            return RequireNumber(v, k);
-          });
-    } else if (key == "protect_subgraph") {
-      spec.protects = ParseScalarOrArray<bool>(
-          value, key, [](const Json& v, const std::string& k) {
-            return RequireBool(v, k);
-          });
-    } else if (key == "frontier_walkers") {
-      spec.frontier_walkers = ParseScalarOrArray<std::size_t>(
-          value, key, [](const Json& v, const std::string& k) {
-            return static_cast<std::size_t>(RequireUint(v, k));
-          });
-    } else if (key == "rewire_batch") {
-      spec.rewire_batches = ParseScalarOrArray<std::size_t>(
-          value, key, [](const Json& v, const std::string& k) {
-            return static_cast<std::size_t>(RequireUint(v, k));
-          });
-    } else if (key == "noise") {
-      spec.noises = ParseScalarOrArray<CrawlNoise>(
-          value, key, [](const Json& v, const std::string& k) {
-            return ParseNoise(v, k);
-          });
     } else if (key == "rewire_threads") {
       spec.rewire_threads =
           static_cast<std::size_t>(RequireUint(value, key));
@@ -442,7 +628,7 @@ ScenarioSpec ScenarioSpec::FromJson(const Json& json) {
       spec.track_properties = RequireBool(value, key);
     } else if (key == "stop_epsilon") {
       spec.stop_epsilon = RequireNumber(value, key);
-    } else {
+    } else if (!ParseAxis(key, value, &spec)) {
       throw ScenarioError("unknown key '" + key + "'");
     }
   }
@@ -458,12 +644,6 @@ void ScenarioSpec::Validate() const {
   // typed JSON readers already reject Infinity/NaN — a spec built in
   // C++ (or mutated after parsing) reaches the engine through this
   // method alone.
-  const auto require_finite = [](double value, const char* key) {
-    if (!std::isfinite(value)) {
-      throw ScenarioError(std::string("'") + key + "' must be finite");
-    }
-  };
-
   if (datasets.empty()) {
     throw ScenarioError("'datasets' must name at least one dataset");
   }
@@ -478,29 +658,23 @@ void ScenarioSpec::Validate() const {
       }
       if (dataset.generator) {
         const GeneratorSpec& gen = *dataset.generator;
-        require_finite(gen.triad_p, "datasets[].triad_p");
-        require_finite(gen.fringe_fraction, "datasets[].fringe_fraction");
+        if (gen.model != "powerlaw" && gen.model != "ba" &&
+            gen.model != "er" && gen.model != "community" &&
+            gen.model != "social") {
+          throw ScenarioError("unknown generator model '" + gen.model +
+                              "' (powerlaw|ba|er|community|social)");
+        }
+        RequireFinite(gen.triad_p, "datasets[].triad_p");
+        RequireFinite(gen.fringe_fraction, "datasets[].fringe_fraction");
         if (gen.nodes < 10) {
           throw ScenarioError("'datasets[].nodes' must be >= 10");
         }
-        if (gen.triad_p < 0.0 || gen.triad_p > 1.0) {
-          throw ScenarioError("'datasets[].triad_p' must be in [0, 1]");
-        }
-        if (gen.fringe_fraction < 0.0 || gen.fringe_fraction >= 1.0) {
-          throw ScenarioError(
-              "'datasets[].fringe_fraction' must be in [0, 1)");
-        }
+        RequireInRange(gen.triad_p >= 0.0 && gen.triad_p <= 1.0,
+                       "datasets[].triad_p", "in [0, 1]");
+        RequireInRange(
+            gen.fringe_fraction >= 0.0 && gen.fringe_fraction < 1.0,
+            "datasets[].fringe_fraction", "in [0, 1)");
       }
-    }
-  }
-
-  if (fractions.empty()) {
-    throw ScenarioError("'fractions' must contain at least one value");
-  }
-  for (double fraction : fractions) {
-    require_finite(fraction, "fractions");
-    if (fraction <= 0.0 || fraction > 1.0) {
-      throw ScenarioError("'fractions' entries must be in (0, 1]");
     }
   }
 
@@ -518,77 +692,22 @@ void ScenarioSpec::Validate() const {
 
   if (trials == 0) throw ScenarioError("'trials' must be >= 1");
 
-  const auto require_axis_unique =
-      [](const std::vector<std::string>& tokens, const char* key) {
-        std::set<std::string> seen;
-        for (const std::string& token : tokens) {
-          if (!seen.insert(token).second) {
-            throw ScenarioError(std::string("duplicate ") + key + " '" +
-                                token + "'");
-          }
+  ForEachAxis([this](const auto& axis) {
+    const auto& values = this->*axis.values;
+    const std::string key = axis.key;
+    if (values.empty()) {
+      throw ScenarioError("'" + key + "' must contain at least one value");
+    }
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      if (axis.check != nullptr) axis.check(values[i], key);
+      for (std::size_t j = 0; j < i; ++j) {
+        if (values[j] == values[i]) {
+          throw ScenarioError("duplicate " + key + " value " +
+                              axis.emit(values[i]).Dump(0));
         }
-      };
-  if (walks.empty()) {
-    throw ScenarioError("'walk' must contain at least one value");
-  }
-  {
-    std::vector<std::string> tokens;
-    for (WalkKind walk : walks) tokens.push_back(WalkToken(walk));
-    require_axis_unique(tokens, "walk");
-  }
-  if (crawlers.empty()) {
-    throw ScenarioError("'crawler' must contain at least one value");
-  }
-  {
-    std::vector<std::string> tokens;
-    for (CrawlerKind crawler : crawlers) {
-      tokens.push_back(CrawlerToken(crawler));
-    }
-    require_axis_unique(tokens, "crawler");
-  }
-
-  if (estimators.empty()) {
-    throw ScenarioError("'estimator' must contain at least one variant");
-  }
-  for (std::size_t i = 0; i < estimators.size(); ++i) {
-    require_finite(estimators[i].collision_fraction,
-                   "estimator.collision_fraction");
-    if (estimators[i].collision_fraction <= 0.0 ||
-        estimators[i].collision_fraction >= 1.0) {
-      throw ScenarioError(
-          "'estimator.collision_fraction' must be in (0, 1)");
-    }
-    for (std::size_t j = 0; j < i; ++j) {
-      if (estimators[j] == estimators[i]) {
-        throw ScenarioError("duplicate estimator variant");
       }
     }
-  }
-
-  if (rcs.empty()) {
-    throw ScenarioError("'rc' must contain at least one value");
-  }
-  {
-    std::set<double> seen;
-    for (double rc : rcs) {
-      require_finite(rc, "rc");
-      if (rc < 0.0) throw ScenarioError("'rc' must be >= 0");
-      if (!seen.insert(rc).second) {
-        throw ScenarioError("duplicate rc value");
-      }
-    }
-  }
-
-  if (protects.empty()) {
-    throw ScenarioError(
-        "'protect_subgraph' must contain at least one value");
-  }
-  if (protects.size() > 2) {
-    throw ScenarioError("duplicate protect_subgraph value");
-  }
-  if (protects.size() == 2 && protects[0] == protects[1]) {
-    throw ScenarioError("duplicate protect_subgraph value");
-  }
+  });
 
   // Cross-axis rules. A non-walk crawl cannot feed the re-weighted
   // estimators, and a walk discipline other than "simple" only means
@@ -618,22 +737,6 @@ void ScenarioSpec::Validate() const {
       }
     }
   }
-
-  if (frontier_walkers.empty()) {
-    throw ScenarioError(
-        "'frontier_walkers' must contain at least one value");
-  }
-  {
-    std::set<std::size_t> seen;
-    for (std::size_t walkers : frontier_walkers) {
-      if (walkers == 0) {
-        throw ScenarioError("'frontier_walkers' must be >= 1");
-      }
-      if (!seen.insert(walkers).second) {
-        throw ScenarioError("duplicate frontier_walkers value");
-      }
-    }
-  }
   if (frontier_walkers.size() > 1 &&
       !(crawlers.size() == 1 && crawlers[0] == CrawlerKind::kFrontier)) {
     throw ScenarioError(
@@ -641,58 +744,15 @@ void ScenarioSpec::Validate() const {
         "exactly [\"frontier\"] (every other crawler ignores the knob, so "
         "its cells would be duplicated once per walker value)");
   }
-  if (rewire_batches.empty()) {
-    throw ScenarioError("'rewire_batch' must contain at least one value");
-  }
-  {
-    std::set<std::size_t> seen;
-    for (std::size_t batch : rewire_batches) {
-      if (batch == 0) {
-        throw ScenarioError(
-            "'rewire_batch' must be >= 1 (1 is the paper's schedule)");
-      }
-      if (!seen.insert(batch).second) {
-        throw ScenarioError("duplicate rewire_batch value");
-      }
-    }
-  }
-  if (noises.empty()) {
-    throw ScenarioError("'noise' must contain at least one variant");
-  }
-  for (std::size_t i = 0; i < noises.size(); ++i) {
-    const CrawlNoise& noise = noises[i];
-    const auto require_noise_prob = [&require_finite](double p,
-                                                      const char* key) {
-      require_finite(p, key);
-      if (p < 0.0 || p > 0.9) {
-        // The oracle itself accepts [0, 1]; the spec stops at 0.9 because
-        // a cell where (almost) every query fails measures nothing.
-        throw ScenarioError(std::string("'") + key +
-                            "' must be in [0, 0.9]");
-      }
-    };
-    require_noise_prob(noise.failure, "noise.failure");
-    require_noise_prob(noise.hidden_edges, "noise.hidden_edges");
-    require_noise_prob(noise.churn, "noise.churn");
-    for (std::size_t j = 0; j < i; ++j) {
-      if (noises[j] == noises[i]) {
-        throw ScenarioError("duplicate noise variant");
-      }
-    }
-  }
+
   if (snowball_k == 0) throw ScenarioError("'snowball_k' must be >= 1");
-  require_finite(forest_fire_pf, "forest_fire_pf");
-  if (forest_fire_pf <= 0.0 || forest_fire_pf >= 1.0) {
-    throw ScenarioError("'forest_fire_pf' must be in (0, 1)");
-  }
-  require_finite(dataset_scale, "dataset_scale");
-  if (dataset_scale < 0.0) {
-    throw ScenarioError("'dataset_scale' must be >= 0");
-  }
-  require_finite(stop_epsilon, "stop_epsilon");
-  if (stop_epsilon < 0.0) {
-    throw ScenarioError("'stop_epsilon' must be >= 0");
-  }
+  RequireFinite(forest_fire_pf, "forest_fire_pf");
+  RequireInRange(forest_fire_pf > 0.0 && forest_fire_pf < 1.0,
+                 "forest_fire_pf", "in (0, 1)");
+  RequireFinite(dataset_scale, "dataset_scale");
+  RequireInRange(dataset_scale >= 0.0, "dataset_scale", ">= 0");
+  RequireFinite(stop_epsilon, "stop_epsilon");
+  RequireInRange(stop_epsilon >= 0.0, "stop_epsilon", ">= 0");
   if (stop_epsilon > 0.0 && !track_properties) {
     throw ScenarioError(
         "'stop_epsilon' requires 'track_properties': true (the adaptive "
@@ -726,11 +786,11 @@ Json ScenarioSpec::ToJson() const {
     dataset_array.Push(std::move(entry));
   }
   json.Set("datasets", std::move(dataset_array));
-  Json fraction_array = Json::Array();
-  for (double fraction : fractions) {
-    fraction_array.Push(Json::Number(fraction));
-  }
-  json.Set("fractions", std::move(fraction_array));
+  // Reserve the slot of the array-only fractions axis ahead of "methods";
+  // the axis loop below fills it in place.
+  ForEachAxis([&json](const auto& axis) {
+    if (axis.Has(kArrayOnly)) json.Set(axis.key, Json());
+  });
   Json method_array = Json::Array();
   for (MethodKind kind : methods) {
     method_array.Push(Json::String(MethodToken(kind)));
@@ -739,80 +799,26 @@ Json ScenarioSpec::ToJson() const {
   json.Set("trials", Json::Number(static_cast<double>(trials)));
   json.Set("threads", Json::Number(static_cast<double>(threads)));
   json.Set("seed_base", Json::Number(static_cast<double>(seed_base)));
-
-  // Axes serialize as a scalar when they hold one value and as an array
-  // otherwise, mirroring the two accepted document forms.
-  const auto scalar_or_array = [](std::vector<Json> items) {
-    if (items.size() == 1) return std::move(items.front());
-    Json array = Json::Array();
-    for (Json& item : items) array.Push(std::move(item));
-    return array;
-  };
-  {
-    std::vector<Json> items;
-    for (WalkKind walk : walks) items.push_back(Json::String(WalkToken(walk)));
-    json.Set("walk", scalar_or_array(std::move(items)));
-  }
-  {
-    std::vector<Json> items;
-    for (CrawlerKind crawler : crawlers) {
-      items.push_back(Json::String(CrawlerToken(crawler)));
+  // One member per axis: a scalar for one value, else an array, mirroring
+  // the two accepted document forms.
+  const char* held_key = nullptr;
+  Json held;
+  ForEachAxis([&](const auto& axis) {
+    const auto& values = this->*axis.values;
+    if (axis.Has(kEchoAfterNext)) {
+      held_key = axis.key;
+      held = EmitAxis(axis, values);
+      return;
     }
-    json.Set("crawler", scalar_or_array(std::move(items)));
-  }
-  {
-    std::vector<Json> items;
-    for (const EstimatorSpec& estimator : estimators) {
-      Json entry = Json::Object();
-      entry.Set("joint_mode",
-                Json::String(JointModeToken(estimator.joint_mode)));
-      entry.Set("collision_fraction",
-                Json::Number(estimator.collision_fraction));
-      items.push_back(std::move(entry));
+    if (!(axis.Has(kOmitDefault) && values.size() == 1 &&
+          values.front() == axis.pre_axis)) {
+      json.Set(axis.key, EmitAxis(axis, values));
     }
-    json.Set("estimator", scalar_or_array(std::move(items)));
-  }
-  {
-    std::vector<Json> items;
-    for (double rc : rcs) items.push_back(Json::Number(rc));
-    json.Set("rc", scalar_or_array(std::move(items)));
-  }
-  {
-    std::vector<Json> items;
-    for (bool protect : protects) items.push_back(Json::Bool(protect));
-    json.Set("protect_subgraph", scalar_or_array(std::move(items)));
-  }
-  {
-    std::vector<Json> items;
-    for (std::size_t walkers : frontier_walkers) {
-      items.push_back(Json::Number(static_cast<double>(walkers)));
+    if (held_key != nullptr) {
+      json.Set(held_key, std::move(held));
+      held_key = nullptr;
     }
-    json.Set("frontier_walkers", scalar_or_array(std::move(items)));
-  }
-  {
-    std::vector<Json> items;
-    for (std::size_t batch : rewire_batches) {
-      items.push_back(Json::Number(static_cast<double>(batch)));
-    }
-    json.Set("rewire_batch", scalar_or_array(std::move(items)));
-  }
-  // The noise axis is emitted only when it departs from the default
-  // single cooperative-oracle entry, so pre-existing reports (which embed
-  // this document verbatim) stay byte-identical; the omitted form parses
-  // back to the same default, preserving the round-trip.
-  if (!(noises.size() == 1 && !noises.front().Active())) {
-    std::vector<Json> items;
-    for (const CrawlNoise& noise : noises) {
-      Json entry = Json::Object();
-      entry.Set("failure", Json::Number(noise.failure));
-      entry.Set("hidden_edges", Json::Number(noise.hidden_edges));
-      entry.Set("churn", Json::Number(noise.churn));
-      entry.Set("api_budget",
-                Json::Number(static_cast<double>(noise.api_budget)));
-      items.push_back(std::move(entry));
-    }
-    json.Set("noise", scalar_or_array(std::move(items)));
-  }
+  });
   json.Set("rewire_threads",
            Json::Number(static_cast<double>(rewire_threads)));
   json.Set("parallel_assembly", Json::Bool(parallel_assembly));
@@ -870,52 +876,83 @@ ExperimentConfig ScenarioSpec::ToExperimentConfig(
   return config;
 }
 
-ExperimentConfig ScenarioSpec::ToExperimentConfig(double fraction) const {
-  CellKnobs knobs;
-  knobs.fraction = fraction;
-  knobs.walk = walks.front();
-  knobs.crawler = crawlers.front();
-  knobs.estimator = estimators.front();
-  knobs.rc = rcs.front();
-  knobs.protect_subgraph = protects.front();
-  knobs.rewire_batch = rewire_batches.front();
-  knobs.frontier_walkers = frontier_walkers.front();
-  knobs.noise = noises.front();
-  return ToExperimentConfig(knobs);
+std::vector<CellKnobs> ScenarioSpec::ExpandKnobs() const {
+  std::size_t cells = 1;
+  ForEachAxis([&](const auto& axis) { cells *= (this->*axis.values).size(); });
+  std::vector<CellKnobs> expanded(cells);
+  if (cells == 0) return expanded;
+  // Mixed radix: an axis's coordinate in cell c is digit (c / stride) %
+  // size, where stride is the product of the sizes of the later axes.
+  std::size_t stride = cells;
+  ForEachAxis([&](const auto& axis) {
+    const auto& values = this->*axis.values;
+    stride /= values.size();
+    for (std::size_t c = 0; c < cells; ++c) {
+      expanded[c].*axis.knob = values[c / stride % values.size()];
+    }
+  });
+  return expanded;
 }
 
-std::vector<CellKnobs> ScenarioSpec::ExpandKnobs() const {
-  std::vector<CellKnobs> expanded;
-  for (double fraction : fractions) {
-    for (WalkKind walk : walks) {
-      for (CrawlerKind crawler : crawlers) {
-        for (const EstimatorSpec& estimator : estimators) {
-          for (double rc : rcs) {
-            for (bool protect : protects) {
-              for (std::size_t batch : rewire_batches) {
-                for (std::size_t walkers : frontier_walkers) {
-                  for (const CrawlNoise& noise : noises) {
-                    CellKnobs knobs;
-                    knobs.fraction = fraction;
-                    knobs.walk = walk;
-                    knobs.crawler = crawler;
-                    knobs.estimator = estimator;
-                    knobs.rc = rc;
-                    knobs.protect_subgraph = protect;
-                    knobs.rewire_batch = batch;
-                    knobs.frontier_walkers = walkers;
-                    knobs.noise = noise;
-                    expanded.push_back(knobs);
-                  }
-                }
-              }
-            }
-          }
-        }
-      }
+Json CellKnobsToJson(const CellKnobs& knobs) {
+  Json json = Json::Object();
+  ForEachAxis([&](const auto& axis) {
+    const auto& value = knobs.*axis.knob;
+    if (axis.Has(kOmitDefault) && value == axis.pre_axis) return;
+    json.Set(axis.cell_key, axis.emit(value));
+  });
+  return json;
+}
+
+CellKnobs PreAxisKnobs(const Json* config) {
+  CellKnobs knobs;
+  ForEachAxis([&](const auto& axis) {
+    knobs.*axis.knob = axis.pre_axis;
+    if (!axis.Has(kPreAxisFromConfig) || config == nullptr ||
+        !config->IsObject()) {
+      return;
     }
-  }
-  return expanded;
+    // A config echo holding an array means the knob was already an axis;
+    // such reports echo it per cell.
+    const Json* scalar = config->Find(axis.key);
+    if (scalar != nullptr && !scalar->IsArray()) {
+      TryParse(axis, *scalar, &(knobs.*axis.knob));
+    }
+  });
+  return knobs;
+}
+
+CellKnobs CellKnobsFromJson(const Json& cell, const CellKnobs& defaults) {
+  CellKnobs knobs = defaults;
+  ForEachAxis([&](const auto& axis) {
+    if (const Json* member = cell.Find(axis.cell_key)) {
+      TryParse(axis, *member, &(knobs.*axis.knob));
+    }
+  });
+  return knobs;
+}
+
+Json UnreadCellKnobs(const Json& cell) {
+  Json unread = Json::Object();
+  ForEachAxis([&](const auto& axis) {
+    const Json* member = cell.Find(axis.cell_key);
+    auto value = axis.pre_axis;
+    if (member != nullptr && !TryParse(axis, *member, &value)) {
+      unread.Set(axis.cell_key, *member);
+    }
+  });
+  return unread;
+}
+
+std::string CellKnobsLabel(const CellKnobs& knobs,
+                           const CellKnobs& baseline) {
+  std::ostringstream label;
+  ForEachAxis([&](const auto& axis) {
+    if (axis.label != nullptr) {
+      axis.label(knobs.*axis.knob, baseline.*axis.knob, label);
+    }
+  });
+  return label.str();
 }
 
 std::vector<std::string> BuiltinScenarioNames() {

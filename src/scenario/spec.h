@@ -68,10 +68,16 @@ struct EstimatorSpec {
 };
 
 /// Coordinates of one cell of the expanded scenario matrix — everything
-/// that varies between cells besides the dataset. RunScenario enumerates
-/// these axes fractions-major through noise-minor (see engine.h) and
-/// each cell's report echoes them, so `sgr diff` can pair cells across
-/// reports by (dataset, knobs).
+/// that varies between cells besides the dataset. Each field is one axis
+/// of the table in spec.cc, which declares the axis once for every layer:
+/// document parsing, validation, the spec and cell echoes, expansion
+/// (fractions-major through noise-minor, see ExpandKnobs), `sgr diff`'s
+/// cell pairing, and the knob labels.
+///
+/// Adding an axis: a field here, its vector in ScenarioSpec, one row in
+/// the spec.cc table, and the line of ToExperimentConfig that applies it.
+/// Put the row last, so that specs which leave the new axis at its
+/// single default expand to the cells (and seeds) they always did.
 struct CellKnobs {
   double fraction = 0.1;
   WalkKind walk = WalkKind::kSimple;
@@ -89,10 +95,38 @@ struct CellKnobs {
   CrawlNoise noise;
 };
 
+/// The knob echo of one report cell: one member per axis, in expansion
+/// order ("query_fraction", "walk", ..., "noise"). The noise axis is left
+/// out while it is off, so noise-free reports keep their historical bytes.
+Json CellKnobsToJson(const CellKnobs& knobs);
+
+/// What the axes of a report cell pair as when the cell does not echo
+/// them (reports recorded before the axis existed): the paper-faithful
+/// value of each axis, except that rc, rewire_batch and frontier_walkers
+/// come from a scalar in the report's `config` echo when it has one (they
+/// were scalar spec knobs before they became axes). Without one they are
+/// 500, 0 and 10; note 0, not the spec default, for rewire_batch.
+CellKnobs PreAxisKnobs(const Json* config = nullptr);
+
+/// Reads the knob echo of a report cell. An axis the cell does not echo,
+/// or echoes in an unreadable form, keeps its value from `defaults`.
+CellKnobs CellKnobsFromJson(const Json& cell, const CellKnobs& defaults);
+
+/// The knob members of a report cell that CellKnobsFromJson cannot read
+/// (a token or member of another build), keyed by their cell key and
+/// holding the raw JSON; an empty object when every echoed axis reads.
+Json UnreadCellKnobs(const Json& cell);
+
+/// Human-readable knob label: " walk=non-backtracking rc=100 batch=256",
+/// one fragment per axis whose value differs from `baseline` (the query
+/// fraction is never part of it; callers print it as "@ 10%"). The one
+/// label of the engine's progress line, the bench tables and `sgr diff`.
+std::string CellKnobsLabel(const CellKnobs& knobs,
+                           const CellKnobs& baseline = PreAxisKnobs());
+
 /// Declarative description of one crawl -> restore -> evaluate matrix:
-/// {datasets x fractions x walks x crawlers x estimators x rcs x
-/// protects} x methods x trials, with the knobs the hand-rolled benches
-/// used to take from the environment. Defaults match a
+/// datasets x the nine cell axes (CellKnobs) x methods x trials, with
+/// the knobs the hand-rolled benches used to take from the environment. Defaults match a
 /// default-constructed ExperimentConfig (RC = 500, 10% queried, all six
 /// methods, simple random walk, exact path evaluation), so an empty
 /// scenario runs the paper's Table III protocol on whatever datasets it
@@ -189,22 +223,25 @@ struct ScenarioSpec {
 
   /// Parses and validates a scenario document. Unknown keys, wrong types,
   /// out-of-range values, unknown dataset/method names, and empty
-  /// dataset/fraction/method lists all throw ScenarioError.
+  /// dataset/axis/method lists all throw ScenarioError.
   static ScenarioSpec FromJson(const Json& json);
 
   /// Serializes the spec back to its document form; FromJson(ToJson(s))
   /// round-trips to an equal document (axes with a single value serialize
-  /// as scalars, larger axes as arrays). Embedded verbatim in every
-  /// report so a result file names the matrix that produced it.
+  /// as scalars, larger axes as arrays; "fractions" is always an array).
+  /// Embedded verbatim in every report so a result file names the matrix
+  /// that produced it.
   Json ToJson() const;
 
   /// Full semantic validation of the spec *values*, independent of how
   /// they were produced: non-empty axes, finite numbers for every numeric
   /// knob (the JSON layer admits Infinity/NaN literals by design, and a
   /// programmatically built spec never passes through FromJson at all),
-  /// in-range values, no duplicate axis entries, and the cross-axis rules
-  /// (non-walk crawlers forbid generative methods; non-simple walks
-  /// require the rw crawler). FromJson calls this after parsing, and
+  /// in-range values, no duplicate axis entries, known generator models,
+  /// and the cross-axis rules (non-walk crawlers forbid generative
+  /// methods; non-simple walks require the rw crawler; a frontier_walkers
+  /// sweep requires the frontier crawler). FromJson calls this after
+  /// parsing, and
   /// RunScenario calls it before executing, so an invalid spec can reach
   /// neither ExperimentConfig nor the engine. Throws ScenarioError.
   void Validate() const;
@@ -216,17 +253,13 @@ struct ScenarioSpec {
   /// long-standing determinism contract).
   ExperimentConfig ToExperimentConfig(const CellKnobs& knobs) const;
 
-  /// Convenience overload: the given query fraction with every other axis
-  /// at its first value (exactly what single-axis callers — the table
-  /// benches — mean).
-  ExperimentConfig ToExperimentConfig(double fraction) const;
-
   /// Enumerates the knob coordinates of the non-dataset axes in cell
-  /// order: fractions-major, then walks, crawlers, estimators, rcs,
-  /// protects, rewire_batches, frontier_walkers, noises (minor). The
-  /// newest axes sit innermost so single-valued specs expand to exactly
-  /// the cell list — and therefore the seed schedule — they always did.
-  /// RunScenario visits datasets-major over this list.
+  /// order: cell i's coordinates are the mixed-radix digits of i over
+  /// fractions, walks, crawlers, estimators, rcs, protects,
+  /// rewire_batches, frontier_walkers, noises, most significant first.
+  /// The newest axes sit innermost so single-valued specs expand to
+  /// exactly the cell list — and therefore the seed schedule — they
+  /// always did. RunScenario visits datasets-major over this list.
   std::vector<CellKnobs> ExpandKnobs() const;
 };
 

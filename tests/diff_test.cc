@@ -190,6 +190,27 @@ TEST(DiffReportsTest, PreAxisScalarKnobsPairViaTheConfigEcho) {
   EXPECT_FALSE(result.HasRegression());
 }
 
+TEST(DiffReportsTest, UnreadableKnobTokensNeverPairWithOtherCells) {
+  // A walk this build does not know must not read as the default walk:
+  // cells with different unknown tokens (or one unknown, one default) are
+  // missing/new, while the same unknown token still pairs with itself.
+  const Json zigzag = MakeDoc(0.5, 1.0, 0.5, R"("walk": "zigzag",)");
+  const Json spiral = MakeDoc(0.9, 1.0, 0.5, R"("walk": "spiral",)");
+  const Json simple = MakeDoc(0.9, 1.0, 0.5, R"("walk": "simple",)");
+  for (const Json* other : {&spiral, &simple}) {
+    const DiffResult result = DiffReports(zigzag, *other);
+    EXPECT_EQ(result.cells_compared, 0u);
+    EXPECT_TRUE(result.HasRegression());
+    ASSERT_FALSE(result.findings.empty());
+    EXPECT_NE(result.findings.front().message.find(R"(walk="zigzag")"),
+              std::string::npos)
+        << result.findings.front().message;
+  }
+  const DiffResult same = DiffReports(zigzag, zigzag);
+  EXPECT_EQ(same.cells_compared, 1u);
+  EXPECT_FALSE(same.HasRegression());
+}
+
 TEST(DiffReportsTest, NaNDriftIsARegressionNotATolerancePass) {
   // |NaN - x| is NaN and every NaN comparison is false, so without
   // explicit handling a NaN-corrupted report sails through the gate

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 #include "graph/generators.h"
 
@@ -88,9 +90,38 @@ TEST(RunnerTest, EnvOrParsesAndFallsBack) {
   EXPECT_DOUBLE_EQ(EnvOr("SGR_TEST_ENV_VALUE", 1.0), 2.5);
   unsetenv("SGR_TEST_ENV_VALUE");
   EXPECT_DOUBLE_EQ(EnvOr("SGR_TEST_ENV_VALUE", 1.0), 1.0);
-  setenv("SGR_TEST_ENV_VALUE", "garbage", 1);
+  setenv("SGR_TEST_ENV_VALUE", "", 1);
   EXPECT_DOUBLE_EQ(EnvOr("SGR_TEST_ENV_VALUE", 3.0), 3.0);
+  // A malformed value is an error naming the variable, never a silent
+  // fallback or a numeric prefix.
+  for (const char* bad : {"garbage", "2x", "-1", " 2"}) {
+    setenv("SGR_TEST_ENV_VALUE", bad, 1);
+    try {
+      EnvOr("SGR_TEST_ENV_VALUE", 3.0);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("SGR_TEST_ENV_VALUE"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   unsetenv("SGR_TEST_ENV_VALUE");
+}
+
+TEST(RunnerTest, EnvUintOrParsesCountsStrictly) {
+  unsetenv("SGR_TEST_ENV_COUNT");
+  EXPECT_EQ(EnvUintOr("SGR_TEST_ENV_COUNT", 4), 4u);
+  setenv("SGR_TEST_ENV_COUNT", "", 1);
+  EXPECT_EQ(EnvUintOr("SGR_TEST_ENV_COUNT", 4), 4u);
+  setenv("SGR_TEST_ENV_COUNT", "12", 1);
+  EXPECT_EQ(EnvUintOr("SGR_TEST_ENV_COUNT", 4), 12u);
+  // "-1" must not wrap to 2^64 - 1, nor "2x" run as 2.
+  for (const char* bad : {"-1", "2x", "2.5", "garbage"}) {
+    setenv("SGR_TEST_ENV_COUNT", bad, 1);
+    EXPECT_THROW(EnvUintOr("SGR_TEST_ENV_COUNT", 4), std::runtime_error)
+        << bad;
+  }
+  unsetenv("SGR_TEST_ENV_COUNT");
 }
 
 }  // namespace

@@ -23,7 +23,8 @@ TEST(ScenarioSpecTest, DefaultsMatchExperimentConfig) {
   const ScenarioSpec spec =
       ScenarioSpec::FromJson(Json::Parse(R"({"datasets": ["anybeat"]})"));
   const ExperimentConfig defaults;
-  const ExperimentConfig from_spec = spec.ToExperimentConfig(0.1);
+  const ExperimentConfig from_spec =
+      spec.ToExperimentConfig(spec.ExpandKnobs().front());
   EXPECT_EQ(from_spec.query_fraction, defaults.query_fraction);
   EXPECT_EQ(from_spec.methods, defaults.methods);
   EXPECT_EQ(from_spec.snowball_k, defaults.snowball_k);
@@ -96,7 +97,8 @@ TEST(ScenarioSpecTest, ParsesFullDocument) {
   EXPECT_EQ(spec.frontier_walkers, (std::vector<std::size_t>{12}));
   EXPECT_EQ(spec.rewire_batches, (std::vector<std::size_t>{64}));
   EXPECT_EQ(spec.rewire_threads, 3u);
-  const ExperimentConfig config = spec.ToExperimentConfig(0.1);
+  const ExperimentConfig config =
+      spec.ToExperimentConfig(spec.ExpandKnobs().front());
   EXPECT_EQ(config.restoration.parallel_rewire.batch_size, 64u);
   EXPECT_EQ(config.restoration.parallel_rewire.threads, 3u);
   EXPECT_EQ(config.walk, WalkKind::kSimple);       // first axis value
@@ -136,7 +138,8 @@ TEST(ScenarioSpecTest, AxesAcceptScalarAndArrayForms) {
   EXPECT_EQ(scalar.rcs, (std::vector<double>{75.0}));
   EXPECT_EQ(scalar.protects, (std::vector<bool>{false}));
   // The NBRW walk axis derives the estimator normalizer in the config.
-  EXPECT_EQ(scalar.ToExperimentConfig(0.1).restoration.estimator.walk_type,
+  EXPECT_EQ(scalar.ToExperimentConfig(scalar.ExpandKnobs().front())
+                .restoration.estimator.walk_type,
             WalkType::kNonBacktracking);
 
   const ScenarioSpec array = ScenarioSpec::FromJson(Json::Parse(R"({
@@ -210,7 +213,8 @@ TEST(ScenarioSpecTest, ParallelAssemblyAndThreadKnobsParse) {
   EXPECT_TRUE(spec.parallel_assembly);
   EXPECT_EQ(spec.assembly_threads, 4u);
   EXPECT_EQ(spec.estimator_threads, 3u);
-  const ExperimentConfig config = spec.ToExperimentConfig(0.1);
+  const ExperimentConfig config =
+      spec.ToExperimentConfig(spec.ExpandKnobs().front());
   EXPECT_TRUE(config.restoration.parallel_assembly.enabled);
   EXPECT_EQ(config.restoration.parallel_assembly.threads, 4u);
   EXPECT_EQ(config.restoration.estimator.threads, 3u);
@@ -499,8 +503,110 @@ TEST(ScenarioSpecTest, ValidateCatchesProgrammaticallyBuiltBadSpecs) {
   no_methods.methods.clear();
   EXPECT_THROW(no_methods.Validate(), ScenarioError);
 
+  // An unknown generator model fails here, not in BuildGeneratorGraph
+  // after the cells of the datasets before it have run.
+  ScenarioSpec bad_model = valid();
+  GeneratorSpec nope;
+  nope.model = "nope";
+  bad_model.datasets.push_back({"generated", nope});
+  EXPECT_THROW(bad_model.Validate(), ScenarioError);
+
   // RunScenario refuses the same specs before loading any dataset.
   EXPECT_THROW(RunScenario(nan_fraction, 1), ScenarioError);
+  EXPECT_THROW(RunScenario(bad_model, 1), ScenarioError);
+}
+
+TEST(ScenarioSpecTest, ExpansionIsMixedRadixOverEveryAxis) {
+  // Cell i's coordinates are the digits of i in the mixed radix of the
+  // axis sizes — fractions, walks, crawlers, estimators, rcs, protects,
+  // rewire_batches, frontier_walkers, noises, most significant first.
+  // RunScenario seeds cell c with seed_base + c * trials, so this order
+  // is every sweep's seed schedule. Three specs share the axes out: a
+  // non-simple walk needs the rw crawler alone, and a frontier_walkers
+  // sweep needs the frontier crawler alone.
+  const char* documents[] = {
+      R"({"datasets": ["anybeat"], "methods": ["rw", "proposed"],
+          "fractions": [0.05, 0.1], "walk": ["simple", "non-backtracking"],
+          "estimator": [{"joint_mode": "hybrid"}, {"joint_mode": "ie"}],
+          "rc": [5, 20], "protect_subgraph": [true, false],
+          "rewire_batch": [1, 64], "noise": [{}, {"failure": 0.2}]})",
+      R"({"datasets": ["anybeat"], "crawler": ["rw", "mhrw"]})",
+      R"({"datasets": ["anybeat"], "crawler": "frontier",
+          "frontier_walkers": [2, 10]})",
+  };
+  std::vector<bool> swept(9, false);
+  for (const char* text : documents) {
+    const ScenarioSpec spec = ScenarioSpec::FromJson(Json::Parse(text));
+    const std::vector<std::size_t> radix = {
+        spec.fractions.size(),      spec.walks.size(),
+        spec.crawlers.size(),       spec.estimators.size(),
+        spec.rcs.size(),            spec.protects.size(),
+        spec.rewire_batches.size(), spec.frontier_walkers.size(),
+        spec.noises.size()};
+    std::size_t total = 1;
+    for (std::size_t a = 0; a < radix.size(); ++a) {
+      total *= radix[a];
+      if (radix[a] == 2) swept[a] = true;
+    }
+    const std::vector<CellKnobs> cells = spec.ExpandKnobs();
+    ASSERT_EQ(cells.size(), total) << text;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      std::vector<std::size_t> digit(radix.size());
+      std::size_t rest = i;
+      for (std::size_t a = radix.size(); a-- > 0;) {
+        digit[a] = rest % radix[a];
+        rest /= radix[a];
+      }
+      const CellKnobs& knobs = cells[i];
+      SCOPED_TRACE(std::string(text) + " cell " + std::to_string(i));
+      EXPECT_EQ(knobs.fraction, spec.fractions[digit[0]]);
+      EXPECT_EQ(knobs.walk, spec.walks[digit[1]]);
+      EXPECT_EQ(knobs.crawler, spec.crawlers[digit[2]]);
+      EXPECT_TRUE(knobs.estimator == spec.estimators[digit[3]]);
+      EXPECT_EQ(knobs.rc, spec.rcs[digit[4]]);
+      EXPECT_EQ(knobs.protect_subgraph, spec.protects[digit[5]]);
+      EXPECT_EQ(knobs.rewire_batch, spec.rewire_batches[digit[6]]);
+      EXPECT_EQ(knobs.frontier_walkers, spec.frontier_walkers[digit[7]]);
+      EXPECT_TRUE(knobs.noise == spec.noises[digit[8]]);
+    }
+  }
+  EXPECT_EQ(swept, std::vector<bool>(9, true));
+}
+
+TEST(ScenarioSpecTest, CellKnobEchoRoundTripsAndLabels) {
+  // What a report cell echoes is what `sgr diff` reads back, for every
+  // cell of every built-in.
+  for (const std::string& name : BuiltinScenarioNames()) {
+    for (const CellKnobs& knobs : BuiltinScenario(name).ExpandKnobs()) {
+      const CellKnobs read =
+          CellKnobsFromJson(CellKnobsToJson(knobs), PreAxisKnobs());
+      EXPECT_EQ(CellKnobsToJson(read), CellKnobsToJson(knobs)) << name;
+    }
+  }
+  // The noise axis is echoed only while on; pre-axis defaults fill in
+  // what a cell leaves out, with config scalars where the knob had one.
+  CellKnobs knobs;
+  EXPECT_EQ(CellKnobsToJson(knobs).Find("noise"), nullptr);
+  const Json config = Json::Parse(R"({"rc": 10, "rewire_batch": [1, 64]})");
+  const CellKnobs defaults = PreAxisKnobs(&config);
+  EXPECT_DOUBLE_EQ(defaults.rc, 10.0);
+  EXPECT_EQ(defaults.rewire_batch, 0u);
+  EXPECT_EQ(defaults.frontier_walkers, 10u);
+  EXPECT_EQ(CellKnobsFromJson(Json::Parse(R"({"rc": "x"})"), defaults).rc,
+            10.0);
+  // ...and the unreadable member is reported raw, so `sgr diff` can keep
+  // it in the cell's pairing key.
+  EXPECT_EQ(UnreadCellKnobs(Json::Parse(R"({"rc": "x", "walk": "simple"})"))
+                .Dump(0),
+            R"({"rc":"x"})");
+
+  knobs.walk = WalkKind::kNonBacktracking;
+  knobs.rc = 250.0;
+  knobs.protect_subgraph = false;
+  knobs.noise.failure = 0.2;
+  EXPECT_EQ(CellKnobsLabel(knobs),
+            " walk=non-backtracking rc=250 unprotected batch=256 fail=0.2");
+  EXPECT_EQ(CellKnobsLabel(knobs, knobs), "");
 }
 
 TEST(ScenarioSpecTest, GeneratorPreconditionsRejectedNotCrashed) {
@@ -694,8 +800,8 @@ TEST(ScenarioEngineTest, RunsTheFullMatrix) {
       EXPECT_GE(summary.mean_average, 0.0);
     }
   }
-  EXPECT_DOUBLE_EQ(result.cells[0].query_fraction, 0.1);
-  EXPECT_DOUBLE_EQ(result.cells[1].query_fraction, 0.2);
+  EXPECT_DOUBLE_EQ(result.cells[0].knobs.fraction, 0.1);
+  EXPECT_DOUBLE_EQ(result.cells[1].knobs.fraction, 0.2);
 }
 
 TEST(ScenarioEngineTest, RunRecordsDatasetProvenance) {
@@ -893,11 +999,11 @@ TEST(ScenarioEngineTest, CellsEchoTheirKnobCoordinates) {
       for (double rc : {5.0, 20.0}) {
         for (bool protect : {true, false}) {
           const ScenarioCell& cell = result.cells[index];
-          EXPECT_EQ(cell.walk, walk) << index;
-          EXPECT_EQ(cell.crawler, CrawlerKind::kRw) << index;
-          EXPECT_EQ(cell.joint_mode, joint) << index;
-          EXPECT_DOUBLE_EQ(cell.rc, rc) << index;
-          EXPECT_EQ(cell.protect_subgraph, protect) << index;
+          EXPECT_EQ(cell.knobs.walk, walk) << index;
+          EXPECT_EQ(cell.knobs.crawler, CrawlerKind::kRw) << index;
+          EXPECT_EQ(cell.knobs.estimator.joint_mode, joint) << index;
+          EXPECT_DOUBLE_EQ(cell.knobs.rc, rc) << index;
+          EXPECT_EQ(cell.knobs.protect_subgraph, protect) << index;
           EXPECT_EQ(cell.seed_base, expected_seed) << index;
           // The walk-based trio shares one sample: identical steps.
           const double rw_steps =
@@ -997,9 +1103,9 @@ TEST(ScenarioEngineTest,
   // The batch axis doubled the matrix, and the cells echo their batch
   // coordinate (cells expand batch-minor within each fraction).
   ASSERT_EQ(one.cells.size(), 4u);  // 2 fractions x 2 batches
-  EXPECT_EQ(one.cells[0].rewire_batch, 16u);
-  EXPECT_EQ(one.cells[1].rewire_batch, 64u);
-  EXPECT_EQ(one.cells[0].frontier_walkers, 10u);
+  EXPECT_EQ(one.cells[0].knobs.rewire_batch, 16u);
+  EXPECT_EQ(one.cells[1].knobs.rewire_batch, 64u);
+  EXPECT_EQ(one.cells[0].knobs.frontier_walkers, 10u);
   // The two batch coordinates select different rewiring trajectories for
   // the same seeds (batch is an algorithm knob).
   EXPECT_NE(
@@ -1023,8 +1129,8 @@ TEST(ScenarioEngineTest, FrontierWalkerSweepChangesTheSample) {
   })"));
   const ScenarioRunResult result = RunScenario(spec, 1);
   ASSERT_EQ(result.cells.size(), 2u);
-  EXPECT_EQ(result.cells[0].frontier_walkers, 2u);
-  EXPECT_EQ(result.cells[1].frontier_walkers, 25u);
+  EXPECT_EQ(result.cells[0].knobs.frontier_walkers, 2u);
+  EXPECT_EQ(result.cells[1].knobs.frontier_walkers, 25u);
   // More coupled walkers spread the same budget differently — the walk
   // length (a deterministic function of the sample) must differ.
   EXPECT_NE(
@@ -1053,9 +1159,9 @@ TEST(ScenarioEngineTest, NonWalkCrawlerRunsSubgraphMethods) {
     const MethodAggregate& aggregate =
         cell.methods.at(MethodKind::kRandomWalk);
     EXPECT_GT(aggregate.sample_steps, 0.0)
-        << CrawlerToken(cell.crawler);
+        << CrawlerToken(cell.knobs.crawler);
     EXPECT_EQ(aggregate.distances.Summarize().runs, 2u)
-        << CrawlerToken(cell.crawler);
+        << CrawlerToken(cell.knobs.crawler);
   }
   // Different crawlers produce different samples: the bfs cell's steps
   // differ from the rw cell's (queried-node count vs walk length).
@@ -1095,22 +1201,21 @@ TEST(ScenarioEngineTest, CellSeedingWrapsDeterministicallyNearUint64Max) {
 }
 
 TEST(ScenarioEngineTest, RunScenarioCellMatchesDirectRunExperiments) {
-  // The engine's cell aggregation must be exactly the benches' historical
-  // RunDataset reduction: trial i seeded seed_base + i, reduced in trial
-  // order, timing means divided by the trial count.
+  // The engine's cell aggregation must be exactly a direct reduction of
+  // RunExperiments: trial i seeded with the cell's seed base + i, reduced
+  // in trial order, timing means divided by the trial count.
   const ScenarioSpec spec = TinySpec();
+  const ScenarioCell cell = RunScenario(spec, 1).cells.front();
   Rng rng(spec.datasets[0].generator->seed);
   const Graph dataset = PreprocessDataset(GeneratePowerlawCluster(
       spec.datasets[0].generator->nodes,
       spec.datasets[0].generator->edges_per_node,
       spec.datasets[0].generator->triad_p, rng));
-  const ExperimentConfig config = spec.ToExperimentConfig(0.1);
+  const ExperimentConfig config = spec.ToExperimentConfig(cell.knobs);
   const GraphProperties properties =
       ComputeProperties(dataset, config.property_options);
-  const ScenarioCell cell = RunScenarioCell(
-      "x", dataset, properties, config, spec.trials, spec.seed_base, 1);
   const auto trials = RunExperiments(dataset, properties, config,
-                                     spec.seed_base, spec.trials, 1);
+                                     cell.seed_base, spec.trials, 1);
   DistanceAccumulator expected;
   for (const auto& trial : trials) {
     for (const MethodRunResult& r : trial) {

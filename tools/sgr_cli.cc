@@ -81,10 +81,10 @@
 //
 //   sgr diff old.json new.json [--l1-tol X] [--time-tol R] [--no-timings]
 //            [--markdown 1]
-//       Compare two sgr-report/1 files: cells are paired by (dataset,
-//       fraction, walk, crawler, estimator, rc, protect_subgraph,
-//       rewire_batch, frontier_walkers, noise) and each method aggregate is
-//       checked for deterministic L1 drift (tolerance --l1-tol, default
+//       Compare two sgr-report/1 files: cells are paired by the dataset
+//       and every knob axis of the scenario table (CellKnobs in
+//       scenario/spec.h) and each method aggregate is checked for
+//       deterministic L1 drift (tolerance --l1-tol, default
 //       1e-9 — same spec + seed must reproduce the same numbers) and
 //       timing slowdowns (relative tolerance --time-tol, default 0.5 =
 //       +50%; --no-timings 1 skips them entirely). --markdown 1 renders
@@ -373,14 +373,9 @@ int CmdRun(const std::string& source, const Args& args) {
   // engine ("parallel_assembly": true), and the chunked estimator pass.
   const auto thread_knob = [&args](const char* flag, const char* env,
                                    std::size_t spec_value) {
-    std::uint64_t value = spec_value;
-    const char* env_value = std::getenv(env);
-    if (args.Has(flag)) {
-      value = args.GetUint(flag, 0);
-    } else if (env_value != nullptr && *env_value != '\0') {
-      value = ParseStrictUint(env_value, env);
-    }
-    return static_cast<std::size_t>(value);
+    return static_cast<std::size_t>(args.Has(flag)
+                                        ? args.GetUint(flag, 0)
+                                        : EnvUintOr(env, spec_value));
   };
   const std::size_t threads =
       thread_knob("threads", "SGR_THREADS", spec.threads);
