@@ -181,6 +181,15 @@ inline void PrintDatasetBanner(const DatasetSpec& spec, const Graph& g) {
             << spec.paper_nodes << ", m = " << spec.paper_edges << ")\n";
 }
 
+/// Exit status of a thread-scaling bench: 1, with a note on stderr, when
+/// a row of its "identical to 1-thread" column says NO, so a break in
+/// thread-count determinism fails whatever runs the bench.
+inline int IdentityExitCode(const char* bench, bool all_identical) {
+  if (all_identical) return 0;
+  std::cerr << bench << ": a row is not identical to the 1-thread run\n";
+  return 1;
+}
+
 /// Column headers of a per-method table: `first`, then the run's methods
 /// in the paper's column order (every cell's `methods` iterates in it).
 inline std::vector<std::string> MethodHeaders(

@@ -122,6 +122,35 @@ void BM_TriangleTrackerChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_TriangleTrackerChurn);
 
+// The rewirer's scoring kernel: one EvaluateSwapDelta per item, over a
+// fixed list of random degree-matched proposals (deg i == deg a, not a
+// no-op), as Algorithm 6 draws them.
+void BM_EvaluateSwapDelta(benchmark::State& state) {
+  const Graph& g = SharedGraph(8000);
+  const TriangleTracker tracker(g, ExtractDegreeDependentClustering(g));
+  struct Proposal {
+    NodeId i, j, a, b;
+  };
+  std::vector<Proposal> proposals;
+  Rng rng(12);
+  while (proposals.size() < 4096) {
+    const Edge e1 = g.edge(rng.NextIndex(g.NumEdges()));
+    Edge e2 = g.edge(rng.NextIndex(g.NumEdges()));
+    if (rng.NextBernoulli(0.5)) std::swap(e2.u, e2.v);
+    if (g.Degree(e1.u) != g.Degree(e2.u)) continue;
+    if (e1.u == e2.u || e1.v == e2.v) continue;
+    proposals.push_back({e1.u, e1.v, e2.u, e2.v});
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const Proposal& p = proposals[next];
+    next = (next + 1) % proposals.size();
+    benchmark::DoNotOptimize(tracker.EvaluateSwapDelta(p.i, p.j, p.a, p.b));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EvaluateSwapDelta);
+
 void BM_RewiringAttempts(benchmark::State& state) {
   const Graph& g = SharedGraph(2000);
   const std::vector<double> target = ExtractDegreeDependentClustering(g);

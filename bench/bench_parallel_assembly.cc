@@ -10,7 +10,8 @@
 // over the edge list), because the estimator's chunk grid is fixed by the
 // walk length and the assembly draws are a pure function of
 // (seed, class pair) with a canonical commit order. The sequential
-// engines run first as reference rows.
+// engines run first as reference rows. The bench exits 1 when a row is
+// not identical.
 //
 // Usage: bench_parallel_assembly [--threads N] [--json PATH]
 //   --threads N   maximum worker count to sweep to (default: hardware
@@ -123,6 +124,7 @@ int main(int argc, char** argv) {
                                      "identical to 1-thread"});
   LocalEstimates baseline_est;
   double est_baseline_seconds = 0.0;
+  bool all_identical = true;
   for (const std::size_t threads : sweep) {
     EstimatorOptions options;
     options.threads = threads;
@@ -136,6 +138,7 @@ int main(int argc, char** argv) {
     } else {
       identical = SameEstimates(est, baseline_est);
     }
+    all_identical = all_identical && identical;
     est_table.AddRow(
         {"estimator", std::to_string(threads),
          TablePrinter::Fixed(seconds, 3),
@@ -200,6 +203,7 @@ int main(int argc, char** argv) {
     } else {
       identical = hash == baseline_hash;
     }
+    all_identical = all_identical && identical;
     asm_table.AddRow(
         {"parallel", std::to_string(threads),
          TablePrinter::Fixed(seconds, 3),
@@ -229,5 +233,5 @@ int main(int argc, char** argv) {
                "worker count), with the estimator speedup growing while "
                "the induced-edge scan dominates and the assembly speedup "
                "bounded by its sequential commit phase.\n";
-  return 0;
+  return IdentityExitCode("bench_parallel_assembly", all_identical);
 }

@@ -8,7 +8,8 @@
 // produce a byte-identical rewired graph (FNV-1a over the edge list) and
 // identical RewireStats, because the proposal stream is a pure function
 // of (seed, round) and commits happen in canonical batch order. The
-// 1-thread row is the reference for both speedup and identity.
+// 1-thread row is the reference for both speedup and identity; the bench
+// exits 1 when a row is not identical.
 //
 // Usage: bench_parallel_rewire [--threads N] [--json PATH]
 //   --threads N   maximum worker count to sweep to (default: hardware
@@ -120,6 +121,7 @@ int Run(int argc, char** argv) {
   double baseline_seconds = 0.0;
   std::uint64_t baseline_hash = 0;
   RewireStats baseline_stats;
+  bool all_identical = true;
   for (const std::size_t threads : sweep) {
     parallel.threads = threads;
     Graph g = assembled;
@@ -138,6 +140,7 @@ int Run(int argc, char** argv) {
     } else {
       identical = hash == baseline_hash && SameStats(stats, baseline_stats);
     }
+    all_identical = all_identical && identical;
     table.AddRow({std::to_string(threads),
                   TablePrinter::Fixed(seconds, 2),
                   TablePrinter::Fixed(
@@ -180,7 +183,7 @@ int Run(int argc, char** argv) {
                "worker count), with speedup growing while the scoring "
                "phase — the O(k-bar^2) per-proposal work — dominates the "
                "sequential commit step.\n";
-  return 0;
+  return IdentityExitCode("bench_parallel_rewire", all_identical);
 }
 
 }  // namespace

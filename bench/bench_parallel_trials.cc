@@ -6,7 +6,8 @@
 // single-thread baseline, the speedup per thread count, and verifies that
 // every thread count reproduces the single-thread aggregates exactly
 // (trial i is always seeded with seed_base + i, so the work — and the
-// printed distances — cannot depend on scheduling).
+// printed distances — cannot depend on scheduling). It exits 1 when a
+// row is not identical.
 //
 // Usage: bench_parallel_trials [--runs N] [--threads N]
 //   --threads N   maximum thread count to sweep to (default: hardware
@@ -56,6 +57,7 @@ int main(int argc, char** argv) {
                                  "trials/sec", "identical to 1-thread"});
   double baseline_seconds = 0.0;
   std::map<MethodKind, double> baseline_sums;
+  bool all_identical = true;
   for (std::size_t threads : sweep) {
     Timer timer;
     const auto trials = RunExperiments(dataset, properties, experiment,
@@ -77,6 +79,7 @@ int main(int argc, char** argv) {
     } else {
       identical = sums == baseline_sums;  // exact FP equality intended
     }
+    all_identical = all_identical && identical;
     table.AddRow({std::to_string(threads), TablePrinter::Fixed(seconds, 2),
                   TablePrinter::Fixed(baseline_seconds /
                                           std::max(1e-9, seconds), 2) + "x",
@@ -90,5 +93,5 @@ int main(int argc, char** argv) {
                "outnumber threads (each trial is an independent read of "
                "the shared snapshot), and 'identical' = yes on every "
                "row.\n";
-  return 0;
+  return IdentityExitCode("bench_parallel_trials", all_identical);
 }

@@ -4,11 +4,41 @@
 #include <array>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 #include <utility>
+#include <vector>
 
 #include "dk/dk_extract.h"
 
 namespace sgr {
+
+namespace {
+
+/// Calls visit(w, m_xw * m_yw) for every distinct id w present in both
+/// sorted runs, in ascending id order. Walks the shorter run; each id's
+/// multiplicity in the longer one is found with a lower_bound that only
+/// moves forward, so a hub partner costs O(d_short · log d_long).
+template <typename Visit>
+void ForEachCommonNeighbor(const std::vector<NodeId>& x,
+                           const std::vector<NodeId>& y, const Visit& visit) {
+  const std::vector<NodeId>& p = x.size() <= y.size() ? x : y;
+  const std::vector<NodeId>& q = x.size() <= y.size() ? y : x;
+  auto q_it = q.begin();
+  for (auto p_it = p.begin(); p_it != p.end();) {
+    const NodeId w = *p_it;
+    const auto p_next = std::find_if(p_it, p.end(),
+                                     [w](NodeId id) { return id != w; });
+    q_it = std::lower_bound(q_it, q.end(), w);
+    if (q_it == q.end()) return;
+    const auto q_next = std::find_if(q_it, q.end(),
+                                     [w](NodeId id) { return id != w; });
+    if (q_next != q_it) visit(w, (p_next - p_it) * (q_next - q_it));
+    p_it = p_next;
+    q_it = q_next;
+  }
+}
+
+}  // namespace
 
 TriangleTracker::TriangleTracker(const Graph& g,
                                  std::vector<double> target_clustering)
@@ -30,13 +60,9 @@ TriangleTracker::TriangleTracker(const Graph& g,
     ++class_n_[degree_[v]];
     class_t_[degree_[v]] += t_[v];
   }
-  for (const Edge& e : g.edges()) {
-    if (e.u == e.v) {
-      adj_[e.u][e.u] += 2;  // A_vv = twice the loop count
-    } else {
-      ++adj_[e.u][e.v];
-      ++adj_[e.v][e.u];
-    }
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    adj_[v] = g.adjacency(v);
+    std::sort(adj_[v].begin(), adj_[v].end());
   }
   for (double c : target_) target_mass_ += c;
   RecomputeObjective();
@@ -83,28 +109,19 @@ void TriangleTracker::BumpClassTriangles(std::uint32_t k,
 }
 
 std::int64_t TriangleTracker::Multiplicity(NodeId u, NodeId v) const {
-  const auto& map = adj_[u];
-  auto it = map.find(v);
-  return it == map.end() ? 0 : it->second;
+  const auto [lo, hi] = std::equal_range(adj_[u].begin(), adj_[u].end(), v);
+  return hi - lo;
 }
 
 void TriangleTracker::ApplyTriangleDelta(NodeId u, NodeId v,
                                          std::int64_t sign) {
-  // Iterate the endpoint with the smaller distinct-neighbor map.
-  const NodeId a = adj_[u].size() <= adj_[v].size() ? u : v;
-  const NodeId b = (a == u) ? v : u;
   std::int64_t common = 0;
-  // sgr-check: allow(unordered-iter) integer triangle-count deltas; per-w updates commute
-  for (const auto& [w, a_aw] : adj_[a]) {
-    if (w == u || w == v) continue;
-    auto it = adj_[b].find(w);
-    if (it == adj_[b].end()) continue;
-    const std::int64_t weight =
-        static_cast<std::int64_t>(a_aw) * it->second;
+  ForEachCommonNeighbor(adj_[u], adj_[v], [&](NodeId w, std::int64_t weight) {
+    if (w == u || w == v) return;
     common += weight;
     t_[w] += sign * weight;
     BumpClassTriangles(degree_[w], sign * weight);
-  }
+  });
   t_[u] += sign * common;
   BumpClassTriangles(degree_[u], sign * common);
   t_[v] += sign * common;
@@ -112,31 +129,33 @@ void TriangleTracker::ApplyTriangleDelta(NodeId u, NodeId v,
 }
 
 void TriangleTracker::RemoveEdge(NodeId u, NodeId v) {
+  const auto drop = [this](NodeId from, NodeId to, std::ptrdiff_t copies) {
+    std::vector<NodeId>& run = adj_[from];
+    const auto it = std::lower_bound(run.begin(), run.end(), to);
+    assert(run.end() - it >= copies && *(it + copies - 1) == to);
+    run.erase(it, it + copies);
+  };
   if (u == v) {
-    auto it = adj_[u].find(u);
-    assert(it != adj_[u].end() && it->second >= 2);
-    it->second -= 2;
-    if (it->second == 0) adj_[u].erase(it);
+    drop(u, u, 2);  // a loop is stored twice
     return;
   }
   ApplyTriangleDelta(u, v, -1);
-  auto drop = [this](NodeId from, NodeId to) {
-    auto it = adj_[from].find(to);
-    assert(it != adj_[from].end() && it->second >= 1);
-    if (--it->second == 0) adj_[from].erase(it);
-  };
-  drop(u, v);
-  drop(v, u);
+  drop(u, v, 1);
+  drop(v, u, 1);
 }
 
 void TriangleTracker::AddEdge(NodeId u, NodeId v) {
+  const auto insert = [this](NodeId into, NodeId id, std::size_t copies) {
+    std::vector<NodeId>& run = adj_[into];
+    run.insert(std::upper_bound(run.begin(), run.end(), id), copies, id);
+  };
   if (u == v) {
-    adj_[u][u] += 2;
+    insert(u, u, 2);
     return;
   }
   ApplyTriangleDelta(u, v, +1);
-  ++adj_[u][v];
-  ++adj_[v][u];
+  insert(u, v, 1);
+  insert(v, u, 1);
 }
 
 double TriangleTracker::EvaluateSwapDelta(
@@ -208,22 +227,16 @@ double TriangleTracker::EvaluateSwapDelta(
       bump_pair(op.u, op.u, 2 * op.sign);  // loops form no triangles
       continue;
     }
-    // Base pass over the frozen maps: a non-endpoint common neighbor w is
+    // Base pass over the frozen runs: a non-endpoint common neighbor w is
     // never touched by the overlay (operations only modify endpoint
     // pairs), so its weight reads straight from the base state.
-    const NodeId p = adj_[op.u].size() <= adj_[op.v].size() ? op.u : op.v;
-    const NodeId q = (p == op.u) ? op.v : op.u;
     std::int64_t common = 0;
-    // sgr-check: allow(unordered-iter) integer triangle-count deltas; per-w updates commute
-    for (const auto& [w, m_pw] : adj_[p]) {
-      if (w == op.u || w == op.v || is_endpoint(w)) continue;
-      const auto it = adj_[q].find(w);
-      if (it == adj_[q].end()) continue;
-      const std::int64_t weight =
-          static_cast<std::int64_t>(m_pw) * it->second;
-      common += weight;
-      add_class(degree_[w], op.sign * weight);
-    }
+    ForEachCommonNeighbor(adj_[op.u], adj_[op.v],
+                          [&](NodeId w, std::int64_t weight) {
+                            if (is_endpoint(w)) return;
+                            common += weight;
+                            add_class(degree_[w], op.sign * weight);
+                          });
     // Correction pass: endpoint common neighbors read through the
     // overlay (deduplicated — endpoints may coincide, e.g. j == a).
     for (std::size_t e = 0; e < endpoints.size(); ++e) {

@@ -2,7 +2,6 @@
 #define SGR_DK_TRIANGLE_TRACKER_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/graph.h"
@@ -19,14 +18,19 @@ namespace sgr {
 ///   * T(k) = Σ_{deg v = k} t_v per degree class,
 ///   * the normalized L1 objective
 ///       D = Σ_k |c̄(k) − ĉ̄(k)| / Σ_k ĉ̄(k),   c̄(k) = 2 T(k) / (k(k−1) n(k)),
-/// under edge insertions/removals in O(min-degree) hash work per operation —
-/// the O(k̄²) average the paper cites for one rewiring attempt.
+/// under edge insertions/removals. Each operation intersects the two
+/// endpoints' sorted neighbor runs, walking the shorter one:
+/// O(d_short · log d_long) per operation. The intersection visits common
+/// neighbors in ascending id order, so every score and the objective's
+/// floating-point bits depend only on the tracked multigraph, not on
+/// the order its edges were inserted.
 ///
 /// Degrees are frozen at construction: Algorithm 6 only performs
-/// degree-preserving swaps, so degree classes never change. The tracker owns
-/// its own adjacency-multiplicity structure; callers must mirror every
-/// AddEdge/RemoveEdge on the actual Graph (or revert the tracker) to stay in
-/// sync.
+/// degree-preserving swaps, so degree classes never change and a 2-swap
+/// returns every run to its old length (no reallocation while rewiring).
+/// The tracker keeps its own copy of the adjacency; callers must mirror
+/// every AddEdge/RemoveEdge on the actual Graph (or revert the tracker) to
+/// stay in sync.
 class TriangleTracker {
  public:
   /// Builds the tracker from `g` with rewiring target ĉ̄(k) =
@@ -103,7 +107,10 @@ class TriangleTracker {
   /// (sign=-1) one (u,v) edge, u != v.
   void ApplyTriangleDelta(NodeId u, NodeId v, std::int64_t sign);
 
-  std::vector<std::unordered_map<NodeId, std::int32_t>> adj_;
+  // Sorted neighbor runs: one entry per incident edge endpoint, a loop
+  // stored twice (Graph::adjacency's convention), so A_uv is the length
+  // of v's run of equal ids in adj_[u].
+  std::vector<std::vector<NodeId>> adj_;
   std::vector<std::int64_t> t_;
   std::vector<std::uint32_t> degree_;   // frozen degree classes
   std::vector<std::int64_t> class_n_;   // n(k), frozen

@@ -1,7 +1,10 @@
 #include "dk/triangle_tracker.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <cstring>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +15,42 @@
 
 namespace sgr {
 namespace {
+
+/// One 2-swap: remove (i, j) and (a, b), add (i, b) and (a, j).
+struct Swap {
+  EdgeId e1, e2;
+  NodeId i, j, a, b;
+};
+
+/// Draws a 2-swap from two random edges of `g`, in a random orientation
+/// of the second edge. Returns false for the no-op family (same edge,
+/// i == a or j == b), which the rewirer never scores.
+bool DrawSwap(const Graph& g, Rng& rng, Swap& s) {
+  s.e1 = rng.NextIndex(g.NumEdges());
+  s.e2 = rng.NextIndex(g.NumEdges());
+  if (s.e1 == s.e2) return false;
+  const Edge e1 = g.edge(s.e1);
+  const Edge e2 = g.edge(s.e2);
+  const bool flip = rng.NextBernoulli(0.5);
+  s.i = e1.u;
+  s.j = e1.v;
+  s.a = flip ? e2.v : e2.u;
+  s.b = flip ? e2.u : e2.v;
+  return s.i != s.a && s.j != s.b;
+}
+
+/// Commits `s` to both the graph and the tracker.
+void CommitSwap(Graph& g, TriangleTracker& tracker, const Swap& s) {
+  tracker.ApplySwap(s.i, s.j, s.a, s.b);
+  g.ReplaceEdge(s.e1, s.i, s.b);
+  g.ReplaceEdge(s.e2, s.a, s.j);
+}
+
+std::uint64_t Bits(double x) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &x, sizeof bits);
+  return bits;
+}
 
 TEST(TriangleTrackerTest, InitialCountsMatchExtractor) {
   Rng rng(51);
@@ -237,6 +276,146 @@ TEST(TriangleTrackerTest, RandomChurnStaysConsistent) {
   const std::vector<std::int64_t> expected = CountTrianglesPerNode(g);
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
     ASSERT_EQ(tracker.triangles(v), expected[v]) << "node " << v;
+  }
+}
+
+TEST(TriangleTrackerTest, ScoresDoNotDependOnEdgeOrder) {
+  // One multigraph (loops, parallel bundles) built from its edge list in
+  // two orders, with the second list's endpoints flipped: the trackers
+  // must produce bit-identical scores and objectives along one swap
+  // sequence.
+  Rng gen_rng(63);
+  Graph forward = GeneratePowerlawCluster(180, 3, 0.5, gen_rng);
+  for (int copy = 0; copy < 3; ++copy) forward.AddEdge(5, 9);
+  forward.AddEdge(11, 12);
+  forward.AddEdge(11, 12);
+  forward.AddEdge(5, 5);
+  forward.AddEdge(30, 30);
+  std::vector<Edge> edges(forward.edges().begin(), forward.edges().end());
+  std::shuffle(edges.begin(), edges.end(), gen_rng.engine());
+  Graph shuffled(forward.NumNodes());
+  for (const Edge& e : edges) shuffled.AddEdge(e.v, e.u);
+
+  std::vector<double> target(forward.MaxDegree() + 1, 0.25);
+  TriangleTracker one(forward, target);
+  TriangleTracker two(shuffled, target);
+  ASSERT_EQ(Bits(one.Objective()), Bits(two.Objective()));
+
+  Rng rng(64);
+  std::size_t scored = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    Swap s;
+    if (!DrawSwap(forward, rng, s)) continue;
+    const double d1 = one.EvaluateSwapDelta(s.i, s.j, s.a, s.b);
+    const double d2 = two.EvaluateSwapDelta(s.i, s.j, s.a, s.b);
+    ASSERT_EQ(Bits(d1), Bits(d2)) << "score " << d1 << " vs " << d2;
+    ++scored;
+    if (trial % 3 != 0) continue;  // commit every third scored swap
+    CommitSwap(forward, one, s);
+    two.ApplySwap(s.i, s.j, s.a, s.b);
+    ASSERT_EQ(Bits(one.Objective()), Bits(two.Objective()))
+        << "objective after trial " << trial;
+  }
+  EXPECT_GT(scored, 300u);
+}
+
+TEST(TriangleTrackerTest, HubRunsMatchApplyAndMeasure) {
+  // A hub adjacent to most nodes, plus a parallel bundle and a loop on
+  // it: the hub's run is far longer than any partner's, so every
+  // hub-incident operation takes the short-run-into-long-run path.
+  Rng gen_rng(65);
+  Graph g = GeneratePowerlawCluster(240, 2, 0.4, gen_rng);
+  const NodeId hub = 0;
+  for (NodeId v = 1; v < g.NumNodes(); ++v) {
+    if (v % 5 != 0) g.AddEdge(hub, v);
+  }
+  g.AddEdge(hub, 7);
+  g.AddEdge(hub, 7);
+  g.AddEdge(hub, hub);
+  ASSERT_GT(g.Degree(hub), 8 * g.NumEdges() / g.NumNodes());
+  std::vector<double> target(g.MaxDegree() + 1, 0.3);
+  double mass = 0.0;
+  for (double c : target) mass += c;
+  TriangleTracker tracker(g, target);
+
+  Rng rng(66);
+  std::size_t hub_swaps = 0;
+  for (int trial = 0; trial < 500; ++trial) {
+    Swap s;
+    if (!DrawSwap(g, rng, s)) continue;
+    if (s.i == hub || s.j == hub || s.a == hub || s.b == hub) ++hub_swaps;
+
+    tracker.RecomputeObjective();
+    const double before = tracker.Objective();
+    std::vector<std::int64_t> class_before(target.size());
+    for (std::uint32_t k = 0; k < target.size(); ++k) {
+      class_before[k] = tracker.ClassTriangles(k);
+    }
+    std::vector<std::uint32_t> touched;
+    const double delta =
+        tracker.EvaluateSwapDelta(s.i, s.j, s.a, s.b, &touched);
+
+    CommitSwap(g, tracker, s);  // churn: every scored swap is kept
+    tracker.RecomputeObjective();
+    ASSERT_NEAR(delta / mass, tracker.Objective() - before, 1e-9)
+        << "swap (" << s.i << "," << s.j << ")x(" << s.a << "," << s.b
+        << ")";
+    for (std::uint32_t k = 0; k < target.size(); ++k) {
+      if (tracker.ClassTriangles(k) == class_before[k]) continue;
+      ASSERT_NE(std::find(touched.begin(), touched.end(), k), touched.end())
+          << "class " << k << " changed but the score did not touch it";
+    }
+  }
+  EXPECT_GT(hub_swaps, 100u);
+  const std::vector<std::int64_t> expected = CountTrianglesPerNode(g);
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    ASSERT_EQ(tracker.triangles(v), expected[v]) << "node " << v;
+  }
+}
+
+TEST(TriangleTrackerTest, ConcurrentScoresMatchSerial) {
+  // EvaluateSwapDelta is const and data-race-free: threads scoring one
+  // proposal list against a shared tracker reproduce the serial bits.
+  Rng gen_rng(67);
+  Graph g = GeneratePowerlawCluster(300, 3, 0.5, gen_rng);
+  g.AddEdge(2, 3);
+  g.AddEdge(2, 3);
+  g.AddEdge(4, 4);
+  const TriangleTracker tracker(
+      g, std::vector<double>(g.MaxDegree() + 1, 0.2));
+
+  Rng rng(68);
+  std::vector<Swap> proposals;
+  while (proposals.size() < 2000) {
+    Swap s;
+    if (DrawSwap(g, rng, s)) proposals.push_back(s);
+  }
+  std::vector<std::uint64_t> serial;
+  for (const Swap& s : proposals) {
+    serial.push_back(Bits(tracker.EvaluateSwapDelta(s.i, s.j, s.a, s.b)));
+  }
+
+  constexpr std::size_t kThreads = 4;
+  std::array<std::vector<std::uint64_t>, kThreads> parallel;
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      // Each thread walks the list from a different offset so the
+      // threads score different proposals at the same time.
+      parallel[t].resize(proposals.size());
+      for (std::size_t n = 0; n < proposals.size(); ++n) {
+        const std::size_t idx = (n + t * proposals.size() / kThreads) %
+                                proposals.size();
+        const Swap& s = proposals[idx];
+        std::vector<std::uint32_t> touched;
+        parallel[t][idx] =
+            Bits(tracker.EvaluateSwapDelta(s.i, s.j, s.a, s.b, &touched));
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(parallel[t], serial) << "thread " << t;
   }
 }
 
