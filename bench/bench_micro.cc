@@ -89,6 +89,28 @@ void BM_TargetConstruction(benchmark::State& state) {
 }
 BENCHMARK(BM_TargetConstruction)->Arg(2000)->Arg(8000);
 
+// BuildTargetJdm alone, without the target degree vector, on a walk whose
+// k*_max is in the hundreds (447), where Algorithm 4's decrement scans run
+// over long rows.
+void BM_BuildTargetJdm(benchmark::State& state) {
+  const Graph& g = SharedGraph(static_cast<std::size_t>(state.range(0)));
+  const SamplingList walk = SharedWalk(g, 0.1, 8);
+  const Subgraph sub = BuildSubgraph(walk);
+  const LocalEstimates est = EstimateLocalProperties(walk);
+  Rng dv_rng(9);
+  const TargetDegreeVectorResult dv =
+      BuildTargetDegreeVector(sub, est, dv_rng);
+  const JointDegreeMatrix m_prime =
+      SubgraphClassEdges(sub.graph, dv.subgraph_target_degrees);
+  for (auto _ : state) {
+    DegreeVector n_star = dv.n_star;
+    Rng rng(10);
+    benchmark::DoNotOptimize(BuildTargetJdm(est, n_star, m_prime, rng));
+  }
+  state.counters["k_max"] = static_cast<double>(dv.n_star.size() - 1);
+}
+BENCHMARK(BM_BuildTargetJdm)->Arg(20000)->Unit(benchmark::kMillisecond);
+
 void BM_AssembleGraph(benchmark::State& state) {
   const Graph& g = SharedGraph(static_cast<std::size_t>(state.range(0)));
   const SamplingList walk = SharedWalk(g, 0.1, 6);

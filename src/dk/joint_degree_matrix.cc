@@ -32,14 +32,16 @@ void JointDegreeMatrix::SetSymmetric(std::uint32_t k, std::uint32_t k_prime,
   if (k != k_prime) apply(DegreePairKey(k_prime, k), value);
 }
 
-std::int64_t JointDegreeMatrix::RowSum(std::uint32_t k) const {
-  std::int64_t sum = 0;
+std::vector<std::int64_t> JointDegreeMatrix::RowSums(
+    std::uint32_t k_max) const {
+  std::vector<std::int64_t> s(k_max + 1, 0);
   for (const auto& [key, count] : counts_) {
-    if (static_cast<std::uint32_t>(key >> 32) != k) continue;
+    const auto k = static_cast<std::uint32_t>(key >> 32);
     const auto kp = static_cast<std::uint32_t>(key & 0xffffffffu);
-    sum += (kp == k ? 2 : 1) * count;
+    assert(k <= k_max && kp <= k_max);
+    s[k] += (k == kp ? 2 : 1) * count;
   }
-  return sum;
+  return s;
 }
 
 std::int64_t JointDegreeMatrix::TotalEdges() const {
@@ -79,10 +81,11 @@ bool JointDegreeMatrix::SatisfiesJdm3(const DegreeVector& dv) const {
   const std::uint32_t k_max =
       std::max(MaxDegree(), static_cast<std::uint32_t>(
                                 dv.empty() ? 0 : dv.size() - 1));
+  const std::vector<std::int64_t> s = RowSums(k_max);
   for (std::uint32_t k = 1; k <= k_max; ++k) {
     const std::int64_t target =
         k < dv.size() ? static_cast<std::int64_t>(k) * dv[k] : 0;
-    if (RowSum(k) != target) return false;
+    if (s[k] != target) return false;
   }
   return true;
 }

@@ -35,9 +35,9 @@ class JointDegreeMatrix {
   void SetSymmetric(std::uint32_t k, std::uint32_t k_prime,
                     std::int64_t value);
 
-  /// Row sum s(k) = Σ_k' µ(k,k') m(k,k') (recomputed; the target-JDM
-  /// builder maintains its own incremental copy).
-  std::int64_t RowSum(std::uint32_t k) const;
+  /// Row sums s(k) = Σ_k' µ(k,k') m(k,k') for k = 0..k_max, in one pass
+  /// over the entries; no entry may name a degree above k_max.
+  std::vector<std::int64_t> RowSums(std::uint32_t k_max) const;
 
   /// Σ_{k<=k'} m(k,k'): total number of edges described.
   std::int64_t TotalEdges() const;

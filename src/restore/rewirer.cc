@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -223,18 +222,15 @@ RewireStats RewireToClusteringParallel(
     if (pool == nullptr) {
       for (std::size_t p = 0; p < this_batch; ++p) score(p);
     } else {
-      std::atomic<std::size_t> next{0};
-      for (std::size_t w = 0; w < threads; ++w) {
-        pool->Submit([&] {
-          for (;;) {
-            const std::size_t p =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (p >= this_batch) return;
-            score(p);
-          }
-        });
-      }
-      pool->Wait();
+      // One contiguous chunk of ⌈B / threads⌉ proposals per worker: a
+      // round is `threads` claims rather than B contended fetch_adds, and
+      // workers write disjoint runs of proposal slots.
+      const std::size_t chunk = (this_batch + threads - 1) / threads;
+      const std::size_t chunks = (this_batch + chunk - 1) / chunk;
+      PoolFor(*pool, chunks, [&](std::size_t c) {
+        const std::size_t end = std::min(this_batch, (c + 1) * chunk);
+        for (std::size_t p = c * chunk; p < end; ++p) score(p);
+      });
     }
 
     // 3. Commit in canonical batch order — the single writer, identical

@@ -40,9 +40,8 @@ TEST(JdmTest, RowSumUsesMuFactor) {
   JointDegreeMatrix m;
   m.AddSymmetric(2, 2, 3);  // diagonal: µ = 2
   m.AddSymmetric(2, 5, 4);  // off-diagonal: µ = 1
-  EXPECT_EQ(m.RowSum(2), 2 * 3 + 4);
-  EXPECT_EQ(m.RowSum(5), 4);
-  EXPECT_EQ(m.RowSum(9), 0);
+  EXPECT_EQ(m.RowSums(9), (std::vector<std::int64_t>{
+                              0, 0, 2 * 3 + 4, 0, 0, 4, 0, 0, 0, 0}));
 }
 
 TEST(JdmTest, TotalEdgesCountsUnorderedPairs) {

@@ -1,5 +1,6 @@
 #include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -30,6 +31,38 @@ void ExpectRewireInvariants(const Graph& before, const Graph& after,
   }
   EXPECT_LE(stats.accepted, stats.attempts);
   EXPECT_LE(stats.final_distance, stats.initial_distance + 1e-9);
+}
+
+/// Byte-identical runs: the same edge list (same edges, same ids, same
+/// endpoint order) and every RewireStats field equal, bit for bit (the
+/// distances and curve values are doubles).
+void ExpectSameRun(const Graph& g, const RewireStats& stats,
+                   const Graph& ref_g, const RewireStats& ref,
+                   const std::string& label) {
+  ASSERT_EQ(g.NumEdges(), ref_g.NumEdges()) << label;
+  for (EdgeId e = 0; e < ref_g.NumEdges(); ++e) {
+    ASSERT_EQ(g.edge(e).u, ref_g.edge(e).u) << "edge " << e << ", " << label;
+    ASSERT_EQ(g.edge(e).v, ref_g.edge(e).v) << "edge " << e << ", " << label;
+  }
+  EXPECT_EQ(stats.attempts, ref.attempts) << label;
+  EXPECT_EQ(stats.accepted, ref.accepted) << label;
+  EXPECT_EQ(stats.initial_distance, ref.initial_distance) << label;
+  EXPECT_EQ(stats.final_distance, ref.final_distance) << label;
+  EXPECT_EQ(stats.rounds, ref.rounds) << label;
+  EXPECT_EQ(stats.evaluated, ref.evaluated) << label;
+  EXPECT_EQ(stats.conflicts, ref.conflicts) << label;
+  EXPECT_EQ(stats.reevaluated, ref.reevaluated) << label;
+  EXPECT_EQ(stats.stopped_early, ref.stopped_early) << label;
+  ASSERT_EQ(stats.curve.size(), ref.curve.size()) << label;
+  for (std::size_t i = 0; i < ref.curve.size(); ++i) {
+    EXPECT_EQ(stats.curve[i].attempts, ref.curve[i].attempts) << label;
+    EXPECT_EQ(stats.curve[i].objective, ref.curve[i].objective) << label;
+    EXPECT_EQ(stats.curve[i].clustering_global,
+              ref.curve[i].clustering_global)
+        << label;
+    EXPECT_EQ(stats.curve[i].components, ref.curve[i].components) << label;
+    EXPECT_EQ(stats.curve[i].lcc, ref.curve[i].lcc) << label;
+  }
 }
 
 /// Seeded generator matrix the property suite runs over: three models x
@@ -81,49 +114,36 @@ TEST(ParallelRewireTest, PropertyMatrixKeepsInvariants) {
 }
 
 TEST(ParallelRewireTest, ByteIdenticalAcrossThreadCounts) {
+  // Scoring workers claim contiguous chunks of ⌈batch / threads⌉
+  // proposals. Batches that do not divide evenly leave a partial last
+  // chunk (and, with R not a multiple of the batch, a partial last
+  // round); batch 257 also tracks properties. None of it may show in the
+  // result.
   Rng gen_rng(7);
   const Graph before = GeneratePowerlawCluster(300, 3, 0.5, gen_rng);
   std::vector<double> target(before.MaxDegree() + 1, 0.25);
-  RewireOptions options;
-  options.rewiring_coefficient = 25.0;
-  ParallelRewireOptions parallel;
-  parallel.batch_size = 128;
-
-  struct Run {
-    Graph graph;
-    RewireStats stats;
-  };
-  std::vector<Run> runs;
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    parallel.threads = threads;
-    Run run{before, {}};
-    run.stats = RewireToClusteringParallel(run.graph, 0, target, options,
-                                           parallel, /*seed=*/0xD00D);
-    runs.push_back(std::move(run));
-  }
-  for (std::size_t r = 1; r < runs.size(); ++r) {
-    // Byte-identical edge lists: same edges, same ids, same endpoint
-    // order.
-    ASSERT_EQ(runs[r].graph.NumEdges(), runs[0].graph.NumEdges());
-    for (EdgeId e = 0; e < runs[0].graph.NumEdges(); ++e) {
-      ASSERT_EQ(runs[r].graph.edge(e).u, runs[0].graph.edge(e).u)
-          << "edge " << e << " at thread count " << r;
-      ASSERT_EQ(runs[r].graph.edge(e).v, runs[0].graph.edge(e).v)
-          << "edge " << e << " at thread count " << r;
+  for (const std::size_t batch : {128u, 65u, 257u, 1u, 63u}) {
+    RewireOptions options;
+    options.rewiring_coefficient = 25.0;
+    options.track_properties = batch == 257;
+    ParallelRewireOptions parallel;
+    parallel.batch_size = batch;
+    parallel.threads = 1;
+    Graph reference = before;
+    const RewireStats ref = RewireToClusteringParallel(
+        reference, 0, target, options, parallel, /*seed=*/0xD00D);
+    // The run must do real work for the comparison to mean anything.
+    EXPECT_GT(ref.accepted, 0u) << "batch " << batch;
+    for (const std::size_t threads : {2u, 3u, 4u, 8u}) {
+      parallel.threads = threads;
+      Graph g = before;
+      const RewireStats stats = RewireToClusteringParallel(
+          g, 0, target, options, parallel, /*seed=*/0xD00D);
+      ExpectSameRun(g, stats, reference, ref,
+                    "batch " + std::to_string(batch) + ", threads " +
+                        std::to_string(threads));
     }
-    // Identical stats, bit-for-bit (the distances are doubles).
-    EXPECT_EQ(runs[r].stats.attempts, runs[0].stats.attempts);
-    EXPECT_EQ(runs[r].stats.accepted, runs[0].stats.accepted);
-    EXPECT_EQ(runs[r].stats.rounds, runs[0].stats.rounds);
-    EXPECT_EQ(runs[r].stats.evaluated, runs[0].stats.evaluated);
-    EXPECT_EQ(runs[r].stats.conflicts, runs[0].stats.conflicts);
-    EXPECT_EQ(runs[r].stats.reevaluated, runs[0].stats.reevaluated);
-    EXPECT_EQ(runs[r].stats.initial_distance,
-              runs[0].stats.initial_distance);
-    EXPECT_EQ(runs[r].stats.final_distance, runs[0].stats.final_distance);
   }
-  // The run must do real work for the comparison to mean anything.
-  EXPECT_GT(runs[0].stats.accepted, 0u);
 }
 
 TEST(ParallelRewireTest, MovesClusteringTowardTarget) {

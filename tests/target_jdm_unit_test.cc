@@ -3,9 +3,18 @@
 // target_jdm_test.cc: each case isolates one branch of the adjustment /
 // modification logic.
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
+#include "dk/dk_construct.h"
+#include "estimation/estimators.h"
+#include "graph/generators.h"
+#include "restore/target_degree_vector.h"
 #include "restore/target_jdm.h"
+#include "sampling/random_walk.h"
+#include "sampling/subgraph.h"
+#include "util/sorted_keys.h"
 
 namespace sgr {
 namespace {
@@ -138,6 +147,119 @@ TEST(TargetJdmUnitTest, InitializationGuaranteesPositiveEntries) {
   const JointDegreeMatrix m_star =
       BuildTargetJdmFromEstimates(est, n_star, rng);
   EXPECT_GE(m_star.At(2, 2), 1);
+}
+
+// ---------------------------------------------------------------------------
+// Golden fingerprints. Every tie BuildTargetJdm breaks is a PickRandom
+// draw, so any change to the candidate scan order, the tie rule or the
+// number of draws moves m*, n* or the RNG position. The digests below were
+// recorded on the hash-scan implementation of Algorithms 3-4 and pin the
+// indexed-row one to it bit for bit.
+
+/// FNV-1a digest of m*'s entries (k <= k', ascending), the final n*, and
+/// the next draw of the RNG that Algorithms 3-4 consumed.
+std::uint64_t Fingerprint(const JointDegreeMatrix& m_star,
+                          const DegreeVector& n_star, Rng& rng) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xffu;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const std::uint64_t key : SortedKeys(m_star.counts())) {
+    if ((key >> 32) > (key & 0xffffffffu)) continue;
+    mix(key);
+    mix(static_cast<std::uint64_t>(m_star.counts().at(key)));
+  }
+  mix(n_star.size());
+  for (const std::int64_t n : n_star) mix(static_cast<std::uint64_t>(n));
+  mix(rng.engine()());
+  return h;
+}
+
+TEST(TargetJdmGoldenTest, RowWithoutJointMassTiesAtInfinity) {
+  // Degrees 3 and 4 have nodes but no joint mass at all: every candidate
+  // of their rows scores +infinity, so each unit is a uniform draw among
+  // all of D ∩ [1, k].
+  LocalEstimates est;
+  est.num_nodes = 20.0;
+  est.average_degree = 2.0;
+  est.degree_dist = {0.0, 0.5, 0.3, 0.1, 0.1};
+  est.joint_dist.SetSymmetric(1, 2, 0.4);
+  est.joint_dist.SetSymmetric(2, 2, 0.1);
+  DegreeVector n_star = {0, 10, 6, 2, 2};
+  Rng rng(11);
+  const JointDegreeMatrix m_star =
+      BuildTargetJdmFromEstimates(est, n_star, rng);
+  EXPECT_TRUE(m_star.SatisfiesJdm3(n_star));
+  EXPECT_GT(m_star.RowSums(4)[4], 0);
+  EXPECT_EQ(Fingerprint(m_star, n_star, rng), 3246624452183744015u);
+}
+
+TEST(TargetJdmGoldenTest, ReadjustAfterModification) {
+  // Row 2 holds only m*(2,3) = 6, and the subgraph floor m'(2,3) = 7 sits
+  // above it: raising the entry leaves no other entry of rows 2 or 3 above
+  // its floor to compensate with, so the modification breaks JDM-3 and
+  // the re-adjustment runs with m' as hard lower limits.
+  LocalEstimates est;
+  est.num_nodes = 9.0;
+  est.average_degree = 2.0;
+  est.degree_dist = {0.0, 4.0 / 9.0, 3.0 / 9.0, 2.0 / 9.0};
+  est.joint_dist.SetSymmetric(2, 3, 1.0 / 3.0);  // m̂(2,3) = 6
+  DegreeVector n_star = {0, 0, 3, 2};
+  JointDegreeMatrix m_prime;
+  m_prime.SetSymmetric(2, 3, 7);
+  Rng rng(12);
+  const JointDegreeMatrix m_star = BuildTargetJdm(est, n_star, m_prime, rng);
+  EXPECT_TRUE(m_star.SatisfiesJdm3(n_star));
+  EXPECT_TRUE(m_star.Dominates(m_prime));
+  EXPECT_GT(n_star[3], 2);  // only the re-adjustment grows n*(3)
+  EXPECT_EQ(Fingerprint(m_star, n_star, rng), 17088363032327915207u);
+}
+
+TEST(TargetJdmGoldenTest, DegreeOneParity) {
+  // s(1) starts an odd distance from s*(1): lines 2-3 of Algorithm 3 grow
+  // n*(1) before the row is closed through m(1,1) and m(1,2).
+  LocalEstimates est;
+  est.num_nodes = 9.0;
+  est.average_degree = 1.5;
+  est.degree_dist = {0.0, 6.0 / 9.0, 3.0 / 9.0};
+  est.joint_dist.SetSymmetric(1, 1, 0.3);
+  est.joint_dist.SetSymmetric(1, 2, 0.25);
+  est.joint_dist.SetSymmetric(2, 2, 0.2);
+  DegreeVector n_star = {0, 7, 3};
+  JointDegreeMatrix m_prime;
+  m_prime.SetSymmetric(1, 2, 3);
+  Rng rng(13);
+  const JointDegreeMatrix m_star = BuildTargetJdm(est, n_star, m_prime, rng);
+  EXPECT_TRUE(m_star.SatisfiesJdm3(n_star));
+  EXPECT_TRUE(m_star.Dominates(m_prime));
+  EXPECT_EQ(n_star[1] % 2, 0);
+  EXPECT_EQ(Fingerprint(m_star, n_star, rng), 17566836011185770616u);
+}
+
+TEST(TargetJdmGoldenTest, WalkDerivedHundredsOfDegrees) {
+  // The pipeline's own inputs: a 10% random walk over a 12k-node
+  // power-law graph, with k*_max in the hundreds so that Algorithm 4's
+  // decrement scans run over long rows.
+  Rng gen_rng(14);
+  const Graph g = GeneratePowerlawCluster(12000, 4, 0.4, gen_rng);
+  QueryOracle oracle(g);
+  Rng walk_rng(15);
+  const SamplingList walk = RandomWalkSample(oracle, 0, 1200, walk_rng);
+  const Subgraph sub = BuildSubgraph(walk);
+  const LocalEstimates est = EstimateLocalProperties(walk);
+  Rng rng(16);
+  TargetDegreeVectorResult dv = BuildTargetDegreeVector(sub, est, rng);
+  const JointDegreeMatrix m_prime =
+      SubgraphClassEdges(sub.graph, dv.subgraph_target_degrees);
+  const JointDegreeMatrix m_star =
+      BuildTargetJdm(est, dv.n_star, m_prime, rng);
+  EXPECT_GE(dv.n_star.size(), 101u);
+  EXPECT_TRUE(m_star.SatisfiesJdm3(dv.n_star));
+  EXPECT_TRUE(m_star.Dominates(m_prime));
+  EXPECT_EQ(Fingerprint(m_star, dv.n_star, rng), 13084857077878478614u);
 }
 
 }  // namespace
