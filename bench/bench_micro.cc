@@ -200,6 +200,14 @@ void BM_TriangleCount(benchmark::State& state) {
 }
 BENCHMARK(BM_TriangleCount)->Arg(2000)->Arg(8000);
 
+void BM_EdgewiseSharedPartners(benchmark::State& state) {
+  const Graph& g = SharedGraph(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(EdgewiseSharedPartners(g));
+  }
+}
+BENCHMARK(BM_EdgewiseSharedPartners)->Arg(2000)->Arg(8000);
+
 void BM_ShortestPathProperties(benchmark::State& state) {
   const Graph& g = SharedGraph(2000);
   PropertyOptions options;

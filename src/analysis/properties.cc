@@ -53,14 +53,29 @@ std::vector<double> NeighborConnectivity(const CsrGraph& g) {
   return knn;
 }
 
-namespace {
+double NetworkClusteringCoefficient(const Graph& g) {
+  return NetworkClusteringCoefficient(CsrGraph(g));
+}
 
-/// c̄ from a precomputed triangle vector — the single home of the global
-/// clustering formula; both public entry points and ComputeProperties'
-/// shared triangle pass route through it.
-double NetworkClusteringFromTriangles(const CsrGraph& g,
-                                      const std::vector<std::int64_t>& t) {
-  if (g.NumNodes() == 0) return 0.0;
+double NetworkClusteringCoefficient(const CsrGraph& g) {
+  GraphProperties p;
+  ComputeTriangleProperties(g, p);
+  return p.clustering_global;
+}
+
+std::vector<double> EdgewiseSharedPartners(const Graph& g) {
+  return EdgewiseSharedPartners(CsrGraph(g));
+}
+
+std::vector<double> EdgewiseSharedPartners(const CsrGraph& g) {
+  GraphProperties p;
+  ComputeTriangleProperties(g, p);
+  return p.esp_dist;
+}
+
+void ComputeTriangleProperties(const CsrGraph& g, GraphProperties& p) {
+  const TriangleCensusResult census = TriangleCensus(g);
+  const std::vector<std::int64_t>& t = census.triangles;
   double total = 0.0;
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
     const std::size_t d = g.Degree(v);
@@ -69,74 +84,15 @@ double NetworkClusteringFromTriangles(const CsrGraph& g,
                (static_cast<double>(d) * static_cast<double>(d - 1));
     }
   }
-  return total / static_cast<double>(g.NumNodes());
-}
-
-}  // namespace
-
-double NetworkClusteringCoefficient(const Graph& g) {
-  return NetworkClusteringCoefficient(CsrGraph(g));
-}
-
-double NetworkClusteringCoefficient(const CsrGraph& g) {
-  return NetworkClusteringFromTriangles(g, CountTrianglesPerNode(g));
-}
-
-std::vector<double> EdgewiseSharedPartners(const Graph& g) {
-  return EdgewiseSharedPartners(CsrGraph(g));
-}
-
-std::vector<double> EdgewiseSharedPartners(const CsrGraph& g) {
-  // The shared-partner count of an edge (u, v) is Σ_{w != u,v} A_uw A_vw,
-  // identical for all parallel copies of the edge: compute it once per
-  // distinct connected pair by probing the smaller distinct-neighbor list
-  // against the larger sorted range, then weight the histogram entry by
-  // the pair's multiplicity.
-  std::vector<std::int64_t> histogram;
-  // Three spans are live at once (u's list plus the probe pair), so each
-  // gets its own cursor — a cursor's span dies on its next Load.
-  NeighborCursor cursor_u(g);
-  NeighborCursor cursor_small(g);
-  NeighborCursor cursor_large(g);
-  for (NodeId u = 0; u < g.NumNodes(); ++u) {
-    const NeighborSpan nbrs = cursor_u.Load(u);
-    std::size_t i = 0;
-    while (i < nbrs.size()) {
-      const NodeId v = nbrs[i];
-      std::size_t run = 1;
-      while (i + run < nbrs.size() && nbrs[i + run] == v) ++run;
-      i += run;
-      if (v <= u) continue;  // handle each pair once; loops never count
-      const NodeId small = g.Degree(u) <= g.Degree(v) ? u : v;
-      const NodeId large = (small == u) ? v : u;
-      const NeighborSpan sn = cursor_small.Load(small);
-      const NeighborSpan ln = cursor_large.Load(large);
-      std::int64_t shared = 0;
-      std::size_t a = 0;
-      while (a < sn.size()) {
-        const NodeId w = sn[a];
-        std::size_t mult = 1;
-        while (a + mult < sn.size() && sn[a + mult] == w) ++mult;
-        a += mult;
-        if (w == u || w == v) continue;
-        const auto range = std::equal_range(ln.begin(), ln.end(), w);
-        shared += static_cast<std::int64_t>(mult) *
-                  static_cast<std::int64_t>(range.second - range.first);
-      }
-      if (static_cast<std::size_t>(shared) >= histogram.size()) {
-        histogram.resize(shared + 1, 0);
-      }
-      histogram[shared] += static_cast<std::int64_t>(run);
-    }
+  p.clustering_global =
+      g.NumNodes() == 0 ? 0.0 : total / static_cast<double>(g.NumNodes());
+  p.clustering_by_degree = ExtractDegreeDependentClustering(g, t);
+  const std::vector<std::int64_t>& histogram = census.shared_partners;
+  p.esp_dist.assign(histogram.size(), 0.0);  // empty when m = 0
+  for (std::size_t s = 0; s < histogram.size(); ++s) {
+    p.esp_dist[s] = static_cast<double>(histogram[s]) /
+                    static_cast<double>(g.NumEdges());
   }
-  std::vector<double> p(histogram.size(), 0.0);
-  if (g.NumEdges() > 0) {
-    for (std::size_t s = 0; s < histogram.size(); ++s) {
-      p[s] = static_cast<double>(histogram[s]) /
-             static_cast<double>(g.NumEdges());
-    }
-  }
-  return p;
 }
 
 double LargestEigenvalue(const Graph& g, std::size_t max_iterations,
@@ -457,14 +413,7 @@ GraphProperties ComputeProperties(const CsrGraph& g,
   p.degree_dist = DegreeDistribution(g);
   p.neighbor_connectivity = NeighborConnectivity(g);
 
-  // One triangle pass feeds both clustering properties (5) and (6).
-  {
-    const std::vector<std::int64_t> t = CountTrianglesPerNode(g);
-    p.clustering_global = NetworkClusteringFromTriangles(g, t);
-    p.clustering_by_degree = ExtractDegreeDependentClustering(g, t);
-  }
-
-  p.esp_dist = EdgewiseSharedPartners(g);
+  ComputeTriangleProperties(g, p);
   const ShortestPathProperties sp =
       ComputeShortestPathProperties(g, options);
   p.average_path_length = sp.average_length;

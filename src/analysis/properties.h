@@ -91,6 +91,13 @@ double NetworkClusteringCoefficient(const CsrGraph& g);
 std::vector<double> EdgewiseSharedPartners(const Graph& g);
 std::vector<double> EdgewiseSharedPartners(const CsrGraph& g);
 
+/// Fills c̄, c̄(k) and P(s) — properties (5)-(7) — from one TriangleCensus
+/// of `g` (dk_extract.h: one mark-based forward pass credits each triangle
+/// to its corners and pairs, in Σ_{u→v} |fwd(v)| steps over the
+/// (degree, id)-ranked forward lists). The analyzers above are views over
+/// their own call.
+void ComputeTriangleProperties(const CsrGraph& g, GraphProperties& p);
+
 /// Largest adjacency eigenvalue via power iteration.
 double LargestEigenvalue(const Graph& g, std::size_t max_iterations = 1000,
                          double tolerance = 1e-10);

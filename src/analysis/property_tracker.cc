@@ -372,9 +372,7 @@ GraphProperties PropertyTracker::Snapshot() const {
     p.average_degree = csr.AverageDegree();
     p.degree_dist = DegreeDistribution(csr);
     p.neighbor_connectivity = NeighborConnectivity(csr);
-    p.clustering_global = NetworkClusteringCoefficient(csr);
-    p.clustering_by_degree = ExtractDegreeDependentClustering(csr);
-    p.esp_dist = EdgewiseSharedPartners(csr);
+    ComputeTriangleProperties(csr, p);
     return p;
   }
 
@@ -405,7 +403,7 @@ GraphProperties PropertyTracker::Snapshot() const {
   }
 
   // c̄ and c̄(k) from the composed triangle counts, in the oracles' node
-  // order and operand shapes (NetworkClusteringFromTriangles and
+  // order and operand shapes (ComputeTriangleProperties and
   // ExtractDegreeDependentClustering respectively).
   p.clustering_global = ClusteringGlobal();
   {

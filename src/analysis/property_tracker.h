@@ -58,8 +58,7 @@ enum class PropertyAnalysisMode {
 class PropertyTracker {
  public:
   /// Builds the tracker from `g`. O(n + m·k̄) for the initial
-  /// shared-partner pass — the same cost as one EdgewiseSharedPartners
-  /// call.
+  /// shared-partner pass (hash probes per adjacent pair).
   explicit PropertyTracker(
       const Graph& g,
       PropertyAnalysisMode mode = PropertyAnalysisMode::kIncremental);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 namespace sgr {
 
@@ -26,26 +28,26 @@ JointDegreeMatrix ExtractJointDegreeMatrix(const Graph& g) {
   return jdm;
 }
 
-std::vector<std::int64_t> CountTrianglesPerNode(const Graph& g) {
-  return CountTrianglesPerNode(CsrGraph(g));
-}
-
-std::vector<std::int64_t> CountTrianglesPerNode(const CsrGraph& g) {
+TriangleCensusResult TriangleCensus(const CsrGraph& g) {
   const std::size_t n = g.NumNodes();
-  std::vector<std::int64_t> t(n, 0);
   auto rank_less = [&g](NodeId a, NodeId b) {
     return g.Degree(a) != g.Degree(b) ? g.Degree(a) < g.Degree(b) : a < b;
   };
-
-  // Forward lists: for each node, its distinct higher-ranked neighbors with
-  // edge multiplicities, in ascending id order. The sorted CSR ranges make
-  // distinct-neighbor extraction a run-length scan, and id order is
-  // preserved, so intersections below are linear merges.
-  std::vector<std::size_t> offsets(n + 1, 0);
-  std::vector<NodeId> fwd_nbr;
-  std::vector<std::int64_t> fwd_mult;
-  fwd_nbr.reserve(g.NumEdges());
-  fwd_mult.reserve(g.NumEdges());
+  // Forward lists in one flat slot array: v's distinct higher-ranked
+  // neighbors (no loops) with their multiplicities, one slot per pair. So
+  // g.NumEdges() bounds the slot count and every multiplicity, and a graph
+  // past 32 bits is refused before anything is allocated.
+  if (g.NumEdges() > UINT32_MAX) {
+    throw std::length_error("TriangleCensus: " +
+                            std::to_string(g.NumEdges()) +
+                            " edges overflow 32-bit slots");
+  }
+  std::vector<std::uint32_t> offsets(n + 1, 0);
+  std::vector<NodeId> fwd;
+  std::vector<std::uint32_t> mult;
+  fwd.reserve(g.NumEdges());
+  mult.reserve(g.NumEdges());
+  std::size_t max_mult = 0;
   NeighborCursor cursor(g);
   for (NodeId v = 0; v < n; ++v) {
     const NeighborSpan nbrs = cursor.Load(v);
@@ -55,44 +57,70 @@ std::vector<std::int64_t> CountTrianglesPerNode(const CsrGraph& g) {
       std::size_t run = 1;
       while (i + run < nbrs.size() && nbrs[i + run] == w) ++run;
       i += run;
-      if (w == v) continue;  // loops form no triangles
-      if (rank_less(v, w)) {
-        fwd_nbr.push_back(w);
-        fwd_mult.push_back(static_cast<std::int64_t>(run));
-      }
+      if (w == v || !rank_less(v, w)) continue;
+      fwd.push_back(w);
+      mult.push_back(static_cast<std::uint32_t>(run));
+      max_mult = std::max(max_mult, run);
     }
-    offsets[v + 1] = fwd_nbr.size();
+    offsets[v + 1] = static_cast<std::uint32_t>(fwd.size());
   }
+  const std::size_t slots = fwd.size();
 
-  // Every triangle {a, b, c} with rank a < b < c is oriented a->b, a->c,
-  // b->c and found exactly once: at the directed edge (a, b), as the
-  // intersection of the forward lists of a and b. The multiplicity product
-  // A_ab A_ac A_bc is what t_i = Σ_{j<l} A_ij A_il A_jl accumulates at
-  // each corner, so the same pass is exact for multigraphs.
-  for (NodeId u = 0; u < n; ++u) {
-    for (std::size_t e = offsets[u]; e < offsets[u + 1]; ++e) {
-      const NodeId v = fwd_nbr[e];
-      const std::int64_t m_uv = fwd_mult[e];
-      std::size_t a = offsets[u];
-      std::size_t b = offsets[v];
-      while (a < offsets[u + 1] && b < offsets[v + 1]) {
-        if (fwd_nbr[a] < fwd_nbr[b]) {
-          ++a;
-        } else if (fwd_nbr[a] > fwd_nbr[b]) {
-          ++b;
-        } else {
-          const NodeId w = fwd_nbr[a];
-          const std::int64_t weight = m_uv * fwd_mult[a] * fwd_mult[b];
+  // The census, with supports of zero's type. mark[w] is w's slot in the
+  // list being walked; a mark outside u's range is stale (or unset), so
+  // one unsigned range test replaces clearing the marks after each u.
+  auto count = [&](auto zero) {
+    using Support = decltype(zero);
+    TriangleCensusResult census{std::vector<std::int64_t>(n, 0), {}};
+    std::vector<std::int64_t>& t = census.triangles;
+    std::vector<Support> support(slots, zero);
+    std::vector<std::uint32_t> mark(n, UINT32_MAX);
+    for (NodeId u = 0; u < n; ++u) {
+      const std::uint32_t begin = offsets[u];
+      const std::uint32_t end = offsets[u + 1];
+      for (std::uint32_t s = begin; s < end; ++s) mark[fwd[s]] = s;
+      for (std::uint32_t uv = begin; uv < end; ++uv) {
+        const NodeId v = fwd[uv];
+        const std::int64_t a_uv = mult[uv];
+        std::int64_t support_uv = 0;
+        for (std::uint32_t vw = offsets[v]; vw < offsets[v + 1]; ++vw) {
+          const NodeId w = fwd[vw];
+          const std::uint32_t uw = mark[w];
+          if (uw - begin >= end - begin) continue;  // w not in fwd(u)
+          const std::int64_t a_uw = mult[uw];
+          const std::int64_t a_vw = mult[vw];
+          support_uv += a_uw * a_vw;
+          support[uw] += static_cast<Support>(a_uv * a_vw);
+          support[vw] += static_cast<Support>(a_uv * a_uw);
+          const std::int64_t weight = a_uv * a_uw * a_vw;
           t[u] += weight;
           t[v] += weight;
           t[w] += weight;
-          ++a;
-          ++b;
         }
+        support[uv] += static_cast<Support>(support_uv);
       }
     }
-  }
-  return t;
+    // Every parallel copy of a pair has the pair's shared partners.
+    std::vector<std::int64_t>& histogram = census.shared_partners;
+    for (std::size_t s = 0; s < slots; ++s) {
+      const auto shared = static_cast<std::size_t>(support[s]);
+      if (shared >= histogram.size()) histogram.resize(shared + 1, 0);
+      histogram[shared] += mult[s];
+    }
+    return census;
+  };
+  // A support Σ_w A_uw·A_vw is at most deg(u) times the largest
+  // multiplicity: 32 bits hold it unless a multigraph is very heavy.
+  if (g.MaxDegree() * max_mult <= UINT32_MAX) return count(std::uint32_t{0});
+  return count(std::int64_t{0});
+}
+
+std::vector<std::int64_t> CountTrianglesPerNode(const Graph& g) {
+  return CountTrianglesPerNode(CsrGraph(g));
+}
+
+std::vector<std::int64_t> CountTrianglesPerNode(const CsrGraph& g) {
+  return TriangleCensus(g).triangles;
 }
 
 std::vector<double> ExtractDegreeDependentClustering(const Graph& g) {

@@ -25,22 +25,35 @@ DegreeVector ExtractDegreeVector(const CsrGraph& g);
 /// whose both endpoints have degree k).
 JointDegreeMatrix ExtractJointDegreeMatrix(const Graph& g);
 
-/// Per-node triangle counts t_i = Σ_{j<l} A_ij A_il A_jl (multiplicity
-/// aware; self-loops form no triangles). One degree-ordered node-iterator
-/// algorithm over the sorted CSR arrays covers simple graphs and
-/// multigraphs alike: distinct-neighbor lists with multiplicities come
-/// from run-length scanning the sorted ranges, and every triangle is found
-/// exactly once at its lowest-ranked oriented edge. O(m^{3/2}) in the
-/// number of distinct edges.
+/// Per-node triangles t_i = Σ_{j<l} A_ij A_il A_jl, and the edgewise
+/// shared-partner histogram: [s] counts the non-loop edges (parallel copies
+/// apart) whose endpoints share s = Σ_{w ∉ {i,j}} A_iw A_jw partners.
+struct TriangleCensusResult {
+  std::vector<std::int64_t> triangles;
+  std::vector<std::int64_t> shared_partners;
+};
+
+/// One mark-based forward pass (Schank & Wagner, WEA 2005; Latapy, TCS
+/// 2008). Each distinct non-loop pair is a slot, with its multiplicity, in
+/// the forward list of its lower-(degree, id)-ranked endpoint. Marking u's
+/// slots and walking each forward neighbor v's list finds every triangle
+/// u→v→w once: it adds A_uw·A_vw, A_uv·A_vw and A_uv·A_uw to the supports
+/// of slots uv, uw and vw, and A_uv·A_uw·A_vw to t_u, t_v and t_w. Supports
+/// enter the histogram weighted by multiplicity. Cost: Σ_{u→v} |fwd(v)|
+/// steps over O(√m)-long forward lists; scratch 8 bytes per edge for the
+/// slots, 4 per slot for supports (8 for very heavy multigraphs) and 8 per
+/// node. Throws std::length_error when the edge count, which bounds the
+/// slot count, overflows 32 bits.
+TriangleCensusResult TriangleCensus(const CsrGraph& g);
+
+/// Per-node triangle counts t_i: the census's `triangles`.
 std::vector<std::int64_t> CountTrianglesPerNode(const Graph& g);
 std::vector<std::int64_t> CountTrianglesPerNode(const CsrGraph& g);
 
 /// Degree-dependent clustering coefficient {c̄(k)}: c̄(k) is the mean of
 /// 2 t_i / (k (k-1)) over nodes of degree k; c̄(0) = c̄(1) = 0. The result
-/// has size MaxDegree()+1. The `triangles` overload reuses a
-/// CountTrianglesPerNode result the caller already has (the property
-/// analyzer computes several clustering statistics from one triangle
-/// pass).
+/// has size MaxDegree()+1. The `triangles` overload reuses the t_i of a
+/// census the caller already has.
 std::vector<double> ExtractDegreeDependentClustering(const Graph& g);
 std::vector<double> ExtractDegreeDependentClustering(const CsrGraph& g);
 std::vector<double> ExtractDegreeDependentClustering(

@@ -38,6 +38,50 @@ void ForEachCommonNeighbor(const std::vector<NodeId>& x,
   }
 }
 
+/// Summed (degree class, ΔT) pairs in insertion order. The first
+/// kInline classes live in place, so scoring a swap allocates nothing
+/// unless it touches more distinct classes than that.
+class ClassDeltas {
+ public:
+  void Add(std::uint32_t k, std::int64_t d) {
+    for (std::size_t e = 0; e < inline_size_; ++e) {
+      if (inline_[e].k == k) {
+        inline_[e].d += d;
+        return;
+      }
+    }
+    if (inline_size_ < kInline) {
+      inline_[inline_size_++] = {k, d};
+      return;
+    }
+    for (Entry& entry : spill_) {
+      if (entry.k == k) {
+        entry.d += d;
+        return;
+      }
+    }
+    spill_.push_back({k, d});
+  }
+
+  template <typename Visit>
+  void ForEach(const Visit& visit) const {
+    for (std::size_t e = 0; e < inline_size_; ++e) {
+      visit(inline_[e].k, inline_[e].d);
+    }
+    for (const Entry& entry : spill_) visit(entry.k, entry.d);
+  }
+
+ private:
+  struct Entry {
+    std::uint32_t k;
+    std::int64_t d;
+  };
+  static constexpr std::size_t kInline = 16;
+  std::array<Entry, kInline> inline_{};
+  std::size_t inline_size_ = 0;
+  std::vector<Entry> spill_;
+};
+
 }  // namespace
 
 TriangleTracker::TriangleTracker(const Graph& g,
@@ -196,19 +240,12 @@ double TriangleTracker::EvaluateSwapDelta(
     return base;
   };
 
-  // Net T(k) deltas across the four operations. Linear scan: the distinct
-  // degree classes among two nodes' common neighbors are few.
-  std::vector<std::pair<std::uint32_t, std::int64_t>> class_delta;
-  class_delta.reserve(8);
+  // Net T(k) deltas across the four operations, in first-touch order.
+  // Linear scan: the distinct degree classes among two nodes' common
+  // neighbors are few.
+  ClassDeltas class_delta;
   const auto add_class = [&](std::uint32_t k, std::int64_t d) {
-    if (d == 0) return;
-    for (auto& [cls, sum] : class_delta) {
-      if (cls == k) {
-        sum += d;
-        return;
-      }
-    }
-    class_delta.emplace_back(k, d);
+    if (d != 0) class_delta.Add(k, d);
   };
 
   const std::array<NodeId, 4> endpoints = {i, j, a, b};
@@ -261,11 +298,11 @@ double TriangleTracker::EvaluateSwapDelta(
   }
 
   double delta = 0.0;
-  for (const auto& [k, d] : class_delta) {
-    if (d == 0) continue;
+  class_delta.ForEach([&](std::uint32_t k, std::int64_t d) {
+    if (d == 0) return;
     delta += ClassTermWithDelta(k, d) - ClassTerm(k);
     if (touched_classes != nullptr) touched_classes->push_back(k);
-  }
+  });
   return delta;
 }
 
