@@ -75,18 +75,9 @@ std::vector<double> EdgewiseSharedPartners(const CsrGraph& g) {
 
 void ComputeTriangleProperties(const CsrGraph& g, GraphProperties& p) {
   const TriangleCensusResult census = TriangleCensus(g);
-  const std::vector<std::int64_t>& t = census.triangles;
-  double total = 0.0;
-  for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    const std::size_t d = g.Degree(v);
-    if (d >= 2) {
-      total += 2.0 * static_cast<double>(t[v]) /
-               (static_cast<double>(d) * static_cast<double>(d - 1));
-    }
-  }
-  p.clustering_global =
-      g.NumNodes() == 0 ? 0.0 : total / static_cast<double>(g.NumNodes());
-  p.clustering_by_degree = ExtractDegreeDependentClustering(g, t);
+  p.clustering_global = ClusteringFromTriangles(g, census.triangles);
+  p.clustering_by_degree =
+      ExtractDegreeDependentClustering(g, census.triangles);
   const std::vector<std::int64_t>& histogram = census.shared_partners;
   p.esp_dist.assign(histogram.size(), 0.0);  // empty when m = 0
   for (std::size_t s = 0; s < histogram.size(); ++s) {

@@ -86,6 +86,24 @@ std::vector<double> NeighborConnectivity(const CsrGraph& g);
 double NetworkClusteringCoefficient(const Graph& g);
 double NetworkClusteringCoefficient(const CsrGraph& g);
 
+/// c̄ from per-node triangle counts `t` (TriangleCensus, or the rewiring
+/// engine's TriangleTracker) over the degrees of `g`, summed in node
+/// order; nodes of degree < 2 contribute 0. The one copy of the formula,
+/// so equal t_v give bit-equal c̄ wherever they were counted.
+template <typename AnyGraph>
+double ClusteringFromTriangles(const AnyGraph& g,
+                               const std::vector<std::int64_t>& t) {
+  double total = 0.0;
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    const std::size_t d = g.Degree(v);
+    if (d >= 2) {
+      total += 2.0 * static_cast<double>(t[v]) /
+               (static_cast<double>(d) * static_cast<double>(d - 1));
+    }
+  }
+  return g.NumNodes() == 0 ? 0.0 : total / static_cast<double>(g.NumNodes());
+}
+
 /// Edgewise shared-partner distribution P(s): fraction of (non-loop) edges
 /// whose endpoints have exactly s common neighbors (Σ_k A_ik A_jk).
 std::vector<double> EdgewiseSharedPartners(const Graph& g);

@@ -77,6 +77,9 @@ class TriangleTracker {
   /// Triangles through `v`.
   std::int64_t triangles(NodeId v) const { return t_[v]; }
 
+  /// t_v of every node, indexed by node id.
+  const std::vector<std::int64_t>& triangle_counts() const { return t_; }
+
   /// T(k): summed triangles of degree class k (0 for out-of-range k).
   std::int64_t ClassTriangles(std::uint32_t k) const {
     return k < class_t_.size() ? class_t_[k] : 0;

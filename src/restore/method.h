@@ -57,10 +57,10 @@ struct RestorationOptions {
   /// them (Section III-A allows both).
   bool simplify_output = false;
 
-  /// When true, the rewiring phase maintains an incremental
-  /// PropertyTracker over committed swaps and reports a convergence
-  /// curve (RewireStats::curve). Observation only — results are
-  /// byte-identical with tracking on or off (see restore/rewirer.h).
+  /// When true, the rewiring phase reports a convergence curve
+  /// (RewireStats::curve) sampled from the engine's own state.
+  /// Observation only — results are byte-identical with tracking on or
+  /// off (see restore/rewirer.h).
   bool track_properties = false;
 
   /// Adaptive rewiring stop (requires `track_properties`): halt the

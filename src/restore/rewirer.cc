@@ -6,9 +6,10 @@
 #include <cstdint>
 #include <memory>
 
-#include "analysis/property_tracker.h"
+#include "analysis/properties.h"
 #include "dk/triangle_tracker.h"
 #include "exp/parallel.h"
+#include "graph/components.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/rng.h"
@@ -73,52 +74,50 @@ void DrawProposal(const Graph& g, std::size_t num_protected_edges,
 /// Stream tag of the per-round proposal RNG (see DeriveRoundSeed).
 constexpr std::uint64_t kRewireProposalStream = 0x5e71ULL;
 
-/// Attempt count at which convergence sample `index` (0-based) is due:
+/// Convergence samples due after `attempts_done` of `total` attempts:
 /// the samples split the attempt budget into kConvergenceSamples even
-/// slices, the last one landing exactly on `total`.
-std::size_t SampleThreshold(std::size_t total, std::size_t index) {
-  return total * (index + 1) / kConvergenceSamples;
-}
-
-/// Records every convergence sample that became due at `attempts_done`
-/// trial swaps. All reads — no RecomputeObjective, no RNG draws — so a
-/// tracked run's trajectory is identical to an untracked one.
-void RecordDueSamples(RewireStats& stats, std::size_t total_attempts,
-                      std::size_t attempts_done, double objective,
-                      const PropertyTracker& props,
-                      std::size_t& next_sample) {
-  while (next_sample < kConvergenceSamples &&
-         attempts_done >= SampleThreshold(total_attempts, next_sample)) {
-    ConvergenceSample sample;
-    sample.attempts = attempts_done;
-    sample.objective = objective;
-    sample.clustering_global = props.ClusteringGlobal();
-    sample.components = props.NumComponents();
-    sample.lcc = props.LccSize();
-    stats.curve.push_back(sample);
-    ++next_sample;
+/// slices, sample i due at total * (i + 1) / kConvergenceSamples, the
+/// last one landing exactly on `total`.
+std::size_t SamplesDue(std::size_t total, std::size_t attempts_done) {
+  std::size_t due = 0;
+  while (due < kConvergenceSamples &&
+         total * (due + 1) / kConvergenceSamples <= attempts_done) {
+    ++due;
   }
+  return due;
 }
 
-/// Pads the curve to its fixed length with the final state — the shape an
-/// adaptive-stop run leaves behind, so per-index aggregation across
-/// trials stays aligned.
-void PadCurve(RewireStats& stats, std::size_t attempts_done,
-              double objective, const PropertyTracker& props) {
+/// The convergence sample of the current state, read from what the
+/// engine already keeps: the objective the tracker maintains, c̄ from its
+/// triangle counts over the frozen degrees, and one O(n + m) component
+/// pass over `g` (in sync with the tracker at every round end). All
+/// reads — no RecomputeObjective, no RNG draws — so a tracked run's
+/// trajectory is identical to an untracked one.
+ConvergenceSample TakeSample(const Graph& g, const TriangleTracker& tracker,
+                             std::size_t attempts_done) {
   ConvergenceSample sample;
   sample.attempts = attempts_done;
-  sample.objective = objective;
-  sample.clustering_global = props.ClusteringGlobal();
-  sample.components = props.NumComponents();
-  sample.lcc = props.LccSize();
-  while (stats.curve.size() < kConvergenceSamples) {
-    stats.curve.push_back(sample);
-  }
+  sample.objective = tracker.Objective();
+  sample.clustering_global =
+      ClusteringFromTriangles(g, tracker.triangle_counts());
+  const ComponentsResult components = ConnectedComponents(g);
+  sample.components = components.sizes.size();
+  sample.lcc =
+      components.sizes.empty() ? 0 : components.sizes[components.largest];
+  return sample;
+}
+
+/// Appends copies of the current state's sample until the curve holds
+/// `count` points: the samples that became due this round, or, at the
+/// end, the padding an adaptive-stop run leaves behind so per-index
+/// aggregation across trials stays aligned. One sample pass per call.
+void ExtendCurve(RewireStats& stats, std::size_t count, const Graph& g,
+                 const TriangleTracker& tracker, std::size_t attempts_done) {
+  if (stats.curve.size() >= count) return;
+  stats.curve.resize(count, TakeSample(g, tracker, attempts_done));
 }
 
 /// Feeds the metrics registry once per rewiring run — never per attempt.
-/// tracker.delta_ops counts the incremental tracker updates a tracked run
-/// performed (one per accepted swap).
 void RecordRewireMetrics(const RewireStats& stats) {
   if (!obs::MetricsEnabled()) return;
   obs::MetricAdd("rewire.attempts", stats.attempts);
@@ -127,9 +126,6 @@ void RecordRewireMetrics(const RewireStats& stats) {
   obs::MetricAdd("rewire.evaluated", stats.evaluated);
   obs::MetricAdd("rewire.conflicts", stats.conflicts);
   obs::MetricAdd("rewire.reevaluated", stats.reevaluated);
-  if (!stats.curve.empty()) {
-    obs::MetricAdd("tracker.delta_ops", stats.accepted);
-  }
 }
 
 }  // namespace
@@ -154,13 +150,10 @@ RewireStats RewireToClusteringParallel(
   stats.attempts = total_attempts;
   if (total_attempts == 0) return stats;
 
-  // Property tracking observes the commit phase only (the single-writer
-  // step), so it is race-free and cannot perturb the byte-identical
-  // determinism across thread counts.
+  // Convergence samples read the state between rounds (after the
+  // single-writer commit step), so they are race-free and cannot perturb
+  // the byte-identical determinism across thread counts.
   const bool tracking = options.track_properties;
-  std::unique_ptr<PropertyTracker> props;
-  if (tracking) props = std::make_unique<PropertyTracker>(g);
-  std::size_t next_sample = 0;
 
   const std::size_t batch_size =
       parallel.batch_size == 0 ? kDefaultRewireBatch : parallel.batch_size;
@@ -271,7 +264,6 @@ RewireStats RewireToClusteringParallel(
       tracker.ApplySwap(prop.i, prop.j, prop.a, prop.b, &commit_classes);
       g.ReplaceEdge(prop.e1, prop.i, prop.b);
       g.ReplaceEdge(prop.e2, prop.a, prop.j);
-      if (tracking) props->ApplySwap(prop.i, prop.j, prop.a, prop.b);
       ++stats.accepted;
       committed_edges.push_back(prop.e1);
       committed_edges.push_back(prop.e2);
@@ -287,11 +279,8 @@ RewireStats RewireToClusteringParallel(
 
     attempts_done += this_batch;
     if (tracking) {
-      // The round objective is the incrementally maintained one — the
-      // value acceptance already derives from — so sampling reads state,
-      // never recomputes or perturbs it.
-      RecordDueSamples(stats, total_attempts, attempts_done,
-                       tracker.Objective(), *props, next_sample);
+      ExtendCurve(stats, SamplesDue(total_attempts, attempts_done), g,
+                  tracker, attempts_done);
       if (options.stop_epsilon > 0.0 &&
           tracker.Objective() <= options.stop_epsilon) {
         stopped = true;
@@ -300,7 +289,9 @@ RewireStats RewireToClusteringParallel(
       }
     }
   }
-  if (tracking) PadCurve(stats, attempts_done, tracker.Objective(), *props);
+  if (tracking) {
+    ExtendCurve(stats, kConvergenceSamples, g, tracker, attempts_done);
+  }
   tracker.RecomputeObjective();
   stats.final_distance = tracker.Objective();
   RecordRewireMetrics(stats);

@@ -15,12 +15,14 @@ struct RewireOptions {
   /// The paper uses RC = 500 (following Orsini et al.).
   double rewiring_coefficient = 500.0;
 
-  /// When true, the engine maintains a PropertyTracker over the committed
-  /// swaps (never over speculative proposals) and fills
-  /// RewireStats::curve with kConvergenceSamples evenly spaced
-  /// convergence samples. Pure observation: the proposal stream, the
-  /// acceptance decisions, and the rewired graph are byte-identical with
-  /// tracking on or off (no extra RNG draws, no objective perturbation).
+  /// When true, the engine fills RewireStats::curve with
+  /// kConvergenceSamples evenly spaced convergence samples, each read
+  /// between rounds from the engine's own state: the objective and
+  /// triangle counts of its TriangleTracker, plus one connected-components
+  /// pass over the working graph per sampling round. Pure observation:
+  /// the proposal stream, the acceptance decisions, and the rewired graph
+  /// are byte-identical with tracking on or off (no extra RNG draws, no
+  /// objective perturbation).
   bool track_properties = false;
 
   /// Adaptive stop: when `track_properties` is set and `stop_epsilon` is
@@ -60,8 +62,8 @@ struct ParallelRewireOptions {
 inline constexpr std::size_t kDefaultRewireBatch = 256;
 
 /// One point of the rewiring convergence curve recorded when
-/// RewireOptions::track_properties is on: the incrementally tracked
-/// swap-sensitive properties after `attempts` trial swaps.
+/// RewireOptions::track_properties is on: the swap-sensitive properties
+/// of the working graph after `attempts` trial swaps.
 struct ConvergenceSample {
   std::size_t attempts = 0;        ///< attempts completed at this sample
   double objective = 0.0;          ///< normalized L1 clustering distance

@@ -32,8 +32,8 @@ struct RewireAggregate {
   double final_distance = 0.0;
 };
 
-/// One point of the mean convergence curve recorded by the incremental
-/// property tracker (RewireStats::curve averaged across a cell's trials).
+/// One point of the mean convergence curve recorded by a tracked rewiring
+/// run (RewireStats::curve averaged across a cell's trials).
 /// Deterministic content like the rewire counters: it survives
 /// StripVolatile and `sgr diff` compares it point by point.
 struct ConvergencePoint {

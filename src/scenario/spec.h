@@ -202,7 +202,7 @@ struct ScenarioSpec {
   double forest_fire_pf = 0.7;
   bool simplify_output = false;
   double dataset_scale = 0.0;     ///< 0 = honor $SGR_DATASET_SCALE / 1.0
-  /// Incremental property tracking during the rewiring phase (JSON key
+  /// Convergence tracking during the rewiring phase (JSON key
   /// "track_properties"): when true, every generative method's rewiring
   /// run records a convergence curve that the report emits as a
   /// deterministic "convergence" block. Observation only — cells are

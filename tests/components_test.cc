@@ -90,5 +90,40 @@ TEST(ComponentsTest, ComponentOfIsConsistentWithSizes) {
   EXPECT_EQ(recount, r.sizes);
 }
 
+TEST(ComponentsTest, FollowsSwapsThroughLoopsAndParallelEdges) {
+  // Two disjoint triangles. The 2-swap (0,1),(3,4) -> (0,4),(3,1) splices
+  // them into one 6-cycle; its inverse splits them again; a third swap
+  // turns (3,4),(5,3) into the loop (3,3) plus the doubled edge (4,5),
+  // leaving node 3 a component of its own.
+  Graph g(6);
+  g.AddEdge(0, 1);
+  g.AddEdge(1, 2);
+  g.AddEdge(2, 0);
+  g.AddEdge(3, 4);
+  g.AddEdge(4, 5);
+  g.AddEdge(5, 3);
+  EXPECT_EQ(CountComponents(g), 2u);
+
+  g.ReplaceEdge(0, 0, 4);
+  g.ReplaceEdge(3, 3, 1);
+  ComponentsResult r = ConnectedComponents(g);
+  EXPECT_EQ(r.sizes.size(), 1u);
+  EXPECT_EQ(r.sizes[r.largest], 6u);
+
+  g.ReplaceEdge(0, 0, 1);
+  g.ReplaceEdge(3, 3, 4);
+  r = ConnectedComponents(g);
+  EXPECT_EQ(r.sizes.size(), 2u);
+  EXPECT_EQ(r.sizes[r.largest], 3u);
+
+  g.ReplaceEdge(3, 3, 3);
+  g.ReplaceEdge(5, 5, 4);
+  r = ConnectedComponents(g);
+  EXPECT_EQ(r.sizes.size(), 3u);
+  EXPECT_EQ(r.sizes[r.component_of[3]], 1u);
+  EXPECT_EQ(r.sizes[r.component_of[4]], 2u);
+  EXPECT_EQ(r.sizes[r.largest], 3u);
+}
+
 }  // namespace
 }  // namespace sgr

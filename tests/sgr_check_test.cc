@@ -545,8 +545,8 @@ TEST(SgrCheckTreeTest, RealSourceTreeIsClean) {
       CheckSourceTree({SGR_SOURCE_DIR "/src"}, baseline);
   EXPECT_TRUE(result.Clean()) << Describe(result);
   EXPECT_TRUE(result.stale_baseline.empty()) << Describe(result);
-  // The sweep left a deliberate catalogue of sanctioned exceptions; every
-  // one of them must still be suppressing something (no rot).
+  // Every sanctioned exception in the tree must still be suppressing
+  // something (no rot).
   for (const CheckAllow& allow : result.allows) {
     EXPECT_GT(allow.suppressed, 0u)
         << allow.file << ":" << allow.line << " allow(" << allow.rule << ")";
